@@ -1,33 +1,49 @@
-(* Automaton lab — the decision DAG against the rest of the check
-   path, plus the batched entry point (docs/AUTOMATON.md).
+(* Automaton lab — the decision DAG against the interpreting reference
+   and the engine around it, plus the batched entry point
+   (docs/AUTOMATON.md).
 
-   Same methodology as the decision-cache bench (EXPERIMENTS.md): the
-   large Figure-5 manifest, insert-focused traces, stateless checking
-   as in the paper's single-core microbenchmark.  The two access
-   patterns bracket the cache's behaviour — skewed is its home turf,
-   uniform (32768 distinct calls churning a 16384-entry cache) is its
-   worst case and the automaton's motivating workload.  A batch-size
-   sweep measures what [check_batch] buys over call-at-a-time
-   dispatch.
+   Methodology (EXPERIMENTS.md): the large Figure-5 manifest,
+   insert-focused traces with the standard 5 % violation rate,
+   stateless checking as in the paper's single-core microbenchmark.
+   Two access patterns: skewed (64 distinct calls, 90 % of accesses to
+   the hottest 8, a CBench-style elephant-flow mix) and uniform (32768
+   distinct calls).  A batch-size sweep measures what [check_batch]
+   buys over call-at-a-time dispatch.
 
    `run` persists its measurements to BENCH_AUTOMATON.json at the repo
    root (the perf trajectory lives in the tree); `smoke` is the tier-1
-   gate — equivalence over the generated corpus and the examples/lint
-   manifest plus a deliberately conservative single-core throughput
-   floor, no file writes. *)
+   gate — stateless equivalence over the generated corpus and the
+   examples/lint manifest, stateful agreement with ownership recording
+   on, plus a deliberately conservative single-core throughput floor,
+   no file writes. *)
 
 open Shield_workload
 open Sdnshield
-module J = Bench_util.Json
+module J = Shield_controller.Telemetry.Json
 
 let manifest () = Perm_gen.generate ~complexity:Perm_gen.Large ~focus:`Insert ()
 
-(* Workloads are shared with the cache bench (same executable):
-   [Cache_bench.base_calls] and [.skewed_trace].  Measurement is not:
-   the automaton runs at tens of M ops/s, where [Cache_bench.
-   throughput]'s four fixed passes give a ~3 ms timed region that
-   drowns in timer jitter.  Scale the repeat count so every number
-   comes from a region of comparable (generous) length. *)
+(* Workloads ---------------------------------------------------------------- *)
+
+(** [base_calls n] — [n] distinct insert-focused calls, 5 % violating. *)
+let base_calls n = Array.map fst (Api_trace.generate ~focus:`Insert ~n ())
+
+(** A trace of [n] accesses over [base], 90 % of them drawn from the
+    first eighth of the population (the "hot set"). *)
+let skewed_trace ~base ~n =
+  let rng = Prng.of_int 42 in
+  let distinct = Array.length base in
+  let hot = max 1 (distinct / 8) in
+  Array.init n (fun _ ->
+      if Prng.int rng 10 < 9 then base.(Prng.int rng hot)
+      else base.(Prng.int rng distinct))
+
+(* Measurement --------------------------------------------------------------
+
+   The automaton runs at tens of M ops/s, where a few fixed passes
+   give a millisecond timed region that drowns in timer jitter.  Scale
+   the repeat count so every number comes from a region of comparable
+   (generous) length. *)
 
 let target_region = 0.25 (* seconds *)
 
@@ -50,28 +66,24 @@ let throughput check trace =
   in
   float_of_int (repeats * Array.length trace) /. total
 
-(** The check path's four rungs over one manifest, stateless. *)
+(** The check path's rungs over one manifest, stateless: the
+    interpreting reference engine, the (automaton-backed) engine, and
+    the bare automaton. *)
 let checkers ~tag m =
-  let engine ?cache_size name =
+  let engine strategy name =
     let e =
-      Engine.create ~record_state:false ?cache_size
+      Engine.create ~record_state:false ~strategy
         ~ownership:(Ownership.create ())
         ~app_name:(tag ^ "-" ^ name) ~cookie:1 m
     in
     fun call -> Engine.check e call
   in
-  let compiled =
-    let c = Compiled.of_manifest m in
-    fun call -> Compiled.check c call
-  in
   let automaton =
     let a = Automaton.of_manifest m in
     fun call -> Automaton.check a call
   in
-  [ ("interpreted", engine "raw");
-    ("compiled", compiled);
-    ("engine + cache",
-     engine ~cache_size:Decision_cache.default_max_entries "cached");
+  [ ("interpreted", engine `Interpreted "raw");
+    ("engine", engine `Automaton "automaton");
     ("automaton", automaton) ]
 
 (** One workload row set: ops/s per checker plus speedups. *)
@@ -93,15 +105,15 @@ let workload_section ~title ~label ~trace m =
        measured);
   J.Obj
     [ ("workload", J.Str label);
-      ("accesses", J.Int (Array.length trace));
+      ("accesses", Bench_util.num (Array.length trace));
       ( "checkers",
         J.Arr
           (List.map
              (fun (name, ops) ->
                J.Obj
                  [ ("checker", J.Str name);
-                   ("mops", J.Float (ops /. 1e6));
-                   ("vs_interpreted", J.Float (ops /. base)) ])
+                   ("mops", J.Num (ops /. 1e6));
+                   ("vs_interpreted", J.Num (ops /. base)) ])
              measured) ) ]
 
 (** Ops/s over [trace] cut into [batch]-sized chunks, producing one
@@ -170,42 +182,37 @@ let batch_sweep m trace =
       (List.map
          (fun (batch, ops, loop, rel) ->
            J.Obj
-             [ ("batch", J.Int batch);
-               ("mops", J.Float (ops /. 1e6));
-               ("per_call_loop_mops", J.Float (loop /. 1e6));
-               ("vs_per_call", J.Float rel) ])
+             [ ("batch", Bench_util.num batch);
+               ("mops", J.Num (ops /. 1e6));
+               ("per_call_loop_mops", J.Num (loop /. 1e6));
+               ("vs_per_call", J.Num rel) ])
          rows),
-    J.Float (per_call /. 1e6) )
+    J.Num (per_call /. 1e6) )
 
 let build_stats_json m =
   let s = Automaton.build_stats (Automaton.of_manifest m) in
   J.Obj
-    [ ("nodes", J.Int s.Automaton.nodes);
-      ("shared", J.Int s.Automaton.shared);
-      ("collapsed", J.Int s.Automaton.collapsed);
-      ("tokens", J.Int s.Automaton.tokens) ]
+    [ ("nodes", Bench_util.num s.Automaton.nodes);
+      ("shared", Bench_util.num s.Automaton.shared);
+      ("collapsed", Bench_util.num s.Automaton.collapsed);
+      ("tokens", Bench_util.num s.Automaton.tokens) ]
 
 let run () =
   Bench_util.hr
-    "Automaton: decision-DAG checking vs the rest of the check path";
+    "Automaton: decision-DAG checking vs the interpreting reference";
   let m = manifest () in
   let skewed =
     workload_section ~title:"skewed (64 distinct calls, 90% to hot 8)"
       ~label:"skewed"
-      ~trace:(Cache_bench.skewed_trace ~base:(Cache_bench.base_calls 64) ~n:65536)
+      ~trace:(skewed_trace ~base:(base_calls 64) ~n:65536)
       m
   in
-  let uniform_trace = Cache_bench.base_calls 32768 in
+  let uniform_trace = base_calls 32768 in
   let uniform =
-    workload_section
-      ~title:"uniform (32768 distinct calls vs 16384-entry cache)"
-      ~label:"uniform" ~trace:uniform_trace m
+    workload_section ~title:"uniform (32768 distinct calls)" ~label:"uniform"
+      ~trace:uniform_trace m
   in
   let sweep, per_call = batch_sweep m uniform_trace in
-  Fmt.pr
-    "@.note: uniform is the decision cache's worst case (flush churn) and@.";
-  Fmt.pr
-    "      the automaton's motivating workload; see docs/CACHING.md@.";
   Bench_util.write_json "BENCH_AUTOMATON.json"
     (J.Obj
        [ ("bench", J.Str "automaton-lab");
@@ -226,22 +233,19 @@ let same_verdict d1 d2 =
   | Shield_controller.Api.Deny _, Shield_controller.Api.Deny _ -> true
   | _ -> false
 
-(** Automaton == Engine == Compiled call-for-call on [m]. *)
+(** Automaton == interpreting Engine call-for-call on [m]. *)
 let equivalence ~what m trace =
   let e =
-    Engine.create ~record_state:false
+    Engine.create ~record_state:false ~strategy:`Interpreted
       ~ownership:(Ownership.create ())
       ~app_name:("smoke-" ^ what) ~cookie:1 m
   in
-  let c = Compiled.of_manifest m in
   let a = Automaton.of_manifest m in
   Array.iteri
     (fun i call ->
-      let de = Engine.check e call in
-      if not (same_verdict de (Automaton.check a call)) then
-        fail "%s: automaton diverges from engine at call %d" what i;
-      if not (same_verdict de (Compiled.check c call)) then
-        fail "%s: compiled diverges from engine at call %d" what i)
+      if not (same_verdict (Engine.check e call) (Automaton.check a call)) then
+        fail "%s: automaton diverges from the interpreted engine at call %d"
+          what i)
     trace;
   (* Batched verdicts must be the one-at-a-time verdicts. *)
   let b = Automaton.of_manifest m in
@@ -306,15 +310,57 @@ let smoke () =
       equivalence ~what:"examples/clean"
         m
         (Array.map fst (Api_trace.generate_mixed ~violation_rate:0.3 ~n:2048 ()))));
-  Fmt.pr "equivalence (engine = compiled = automaton = batched): %s@."
+  Fmt.pr "equivalence (interpreted = automaton = batched): %s@."
     (if !failures = [] then "ok" else "FAIL");
-  (* 3. Conservative single-core throughput floor on the uniform
+  (* 3. Stateful agreement: the automaton-backed and the interpreting
+     engine, ownership recording on, each over its own store, decide
+     the same skewed trace identically call for call — so the stores
+     evolve identically and OWN_FLOWS / MAX_RULE_COUNT see the same
+     state on both sides.  The insert grant is additionally capped at
+     2 owned rules per switch, which the trace's 64 distinct calls over
+     16 switches overrun. *)
+  let m = manifest () in
+  let capped =
+    List.map
+      (fun (p : Perm.t) ->
+        if p.Perm.token <> Token.Insert_flow then p
+        else
+          { p with
+            Perm.filter =
+              Filter.conj p.Perm.filter
+                (Filter.conj Filter.own_flows
+                   (Filter.atom (Filter.Max_rule_count 2))) })
+      m
+  in
+  let stateful strategy =
+    Engine.create ~strategy ~ownership:(Ownership.create ())
+      ~app_name:"smoke-stateful" ~cookie:1 capped
+  in
+  let auto = stateful `Automaton and interp = stateful `Interpreted in
+  let trace = skewed_trace ~base:(base_calls 64) ~n:4096 in
+  let before = List.length !failures in
+  Array.iteri
+    (fun i call ->
+      if Engine.check auto call <> Engine.check interp call then
+        fail "stateful: decision mismatch at call %d" i)
+    trace;
+  if Engine.stats auto <> Engine.stats interp then
+    fail "stateful: (checks, denials) differ";
+  let uncapped =
+    Engine.create ~ownership:(Ownership.create ()) ~app_name:"smoke-uncapped"
+      ~cookie:1 m
+  in
+  Array.iter (fun call -> ignore (Engine.check uncapped call)) trace;
+  if snd (Engine.stats auto) <= snd (Engine.stats uncapped) then
+    fail "stateful: the rule cap never bound";
+  Fmt.pr "automaton == interpreted on %d stateful checks: %s@."
+    (Array.length trace)
+    (if List.length !failures = before then "ok" else "FAIL");
+  (* 4. Conservative single-core throughput floor on the uniform
      workload — catches an automaton that silently fell back to
      something interpretive, not a benchmark. *)
-  let m = manifest () in
   let a = Automaton.of_manifest m in
-  let trace = Cache_bench.base_calls 8192 in
-  let ops = Cache_bench.throughput ~repeats:2 (Automaton.check a) trace in
+  let ops = throughput (Automaton.check a) (base_calls 8192) in
   Fmt.pr "uniform single-core throughput: %.2f M ops/s (floor 1.00)@."
     (ops /. 1e6);
   if ops < 1e6 then fail "throughput %.2f M ops/s under the 1M floor" (ops /. 1e6);

@@ -25,7 +25,7 @@
 
 open Sdnshield
 module Hostile = Shield_workload.Hostile_gen
-module J = Bench_util.Json
+module J = Shield_controller.Telemetry.Json
 
 let failures = ref []
 let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt
@@ -182,7 +182,7 @@ let check_overtruncated () =
       fail "overtruncated: no slack witness was replayed through the checkers";
     if not cert.Verify.crosscheck.Verify.checkers_agree then
       fail
-        "overtruncated: Engine/Compiled/Automaton disagreed with Filter_eval: \
+        "overtruncated: Engine/Automaton disagreed with Filter_eval: \
          %s"
         (String.concat "; " cert.Verify.crosscheck.Verify.crosscheck_notes)
   | m ->
@@ -287,19 +287,19 @@ let emit_json ~gate ~slack_cert ~clean_dt ~repaired_dt ~slack_dt =
          ("corpus", J.Str "examples/verify clean/dirty/overtruncated");
          ( "minimality",
            J.Obj
-             [ ("minimal", J.Int s.Verify.minimal_n);
-               ("slack", J.Int s.Verify.slack_n);
-               ("unknown", J.Int s.Verify.unknown_minimality_n) ] );
-         ("slack_witnesses", J.Int slack_witnesses);
+             [ ("minimal", Bench_util.num s.Verify.minimal_n);
+               ("slack", Bench_util.num s.Verify.slack_n);
+               ("unknown", Bench_util.num s.Verify.unknown_minimality_n) ] );
+         ("slack_witnesses", Bench_util.num slack_witnesses);
          ( "slack_witness_replays",
-           J.Int slack_cert.Verify.crosscheck.Verify.replayed );
+           Bench_util.num slack_cert.Verify.crosscheck.Verify.replayed );
          ( "checkers_agree",
            J.Bool slack_cert.Verify.crosscheck.Verify.checkers_agree );
          ( "timings_us",
            J.Obj
-             [ ("clean", J.Float (clean_dt *. 1e6));
-               ("dirty_repaired", J.Float (repaired_dt *. 1e6));
-               ("overtruncated", J.Float (slack_dt *. 1e6)) ] ) ])
+             [ ("clean", J.Num (clean_dt *. 1e6));
+               ("dirty_repaired", J.Num (repaired_dt *. 1e6));
+               ("overtruncated", J.Num (slack_dt *. 1e6)) ] ) ])
 
 let report_outcome ~gate failures =
   match failures with

@@ -73,7 +73,7 @@ let pkt_in dpid =
 (** Drive [events] packet-ins through [apps] apps under [mode] with all
     three fault sites armed.  Returns the list of violated invariants
     (empty = pass) and the mode's measurements for BENCH_FAULTS.json. *)
-let run_mode ~mode ~apps ~events : string list * Bench_util.Json.t =
+let run_mode ~mode ~apps ~events : string list * Telemetry.Json.t =
   let topo = Topology.linear 4 in
   let kernel = Kernel.create (Dataplane.create topo) in
   let y =
@@ -134,19 +134,19 @@ let run_mode ~mode ~apps ~events : string list * Bench_util.Json.t =
       (Atomic.get y.handled) suppressed (events * apps);
   if Faults.injected Faults.Deputy > 0 && fr.Runtime.restarts = 0 then
     fail "%s: deputies were killed but never restarted" (mode_name mode);
-  let module J = Bench_util.Json in
+  let module J = Telemetry.Json in
   ( !failures,
     J.Obj
       [ ("mode", J.Str (mode_name mode));
-        ("events", J.Int (events * apps));
-        ("handled", J.Int (Atomic.get y.handled));
-        ("done", J.Int (Atomic.get y.done_));
-        ("denied", J.Int (Atomic.get y.denied));
-        ("failed", J.Int (Atomic.get y.failed));
-        ("delivered", J.Int delivered);
-        ("suppressed", J.Int suppressed);
-        ("restarts", J.Int fr.Runtime.restarts);
-        ("deputy_faults", J.Int (Faults.injected Faults.Deputy)) ] )
+        ("events", Bench_util.num (events * apps));
+        ("handled", Bench_util.num (Atomic.get y.handled));
+        ("done", Bench_util.num (Atomic.get y.done_));
+        ("denied", Bench_util.num (Atomic.get y.denied));
+        ("failed", Bench_util.num (Atomic.get y.failed));
+        ("delivered", Bench_util.num delivered);
+        ("suppressed", Bench_util.num suppressed);
+        ("restarts", Bench_util.num fr.Runtime.restarts);
+        ("deputy_faults", Bench_util.num (Faults.injected Faults.Deputy)) ] )
 
 let modes = [ Runtime.Isolated { ksd_threads = 4 };
               Runtime.Isolated_domains { ksd_domains = 2 } ]
@@ -166,7 +166,7 @@ let arm_watchdog seconds =
        ())
 
 let emit_json ~gate per_mode =
-  let module J = Bench_util.Json in
+  let module J = Telemetry.Json in
   Bench_util.write_json "BENCH_FAULTS.json"
     (J.Obj [ ("bench", J.Str gate); ("modes", J.Arr per_mode) ])
 

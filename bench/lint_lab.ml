@@ -195,14 +195,18 @@ let arm_watchdog seconds =
 let report_outcome ~gate failures =
   Fmt.pr "@.lint counters:@.";
   List.iter (fun (name, n) -> Fmt.pr "  %-36s %d@." name n) (Lint.stats ());
-  let module J = Bench_util.Json in
+  let module J = Shield_controller.Telemetry.Json in
   Bench_util.write_json "BENCH_LINT.json"
     (J.Obj
        [ ("bench", J.Str gate);
          ("corpus", J.Str "examples/lint dirty/clean + hostile seeds");
          ( "rule_counters",
-           J.Obj (List.map (fun (name, n) -> (name, J.Int n)) (Lint.stats ())) );
-         ("failures", J.Int (List.length failures)) ]);
+           J.Obj
+             (List.map
+                (fun (name, n) -> (name, Bench_util.num n))
+                (Lint.stats ()))
+         );
+         ("failures", Bench_util.num (List.length failures)) ]);
   match failures with
   | [] -> Fmt.pr "%s ok: rule coverage, clean corpus and renderers hold@." gate
   | fs ->

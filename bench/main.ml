@@ -6,12 +6,14 @@
      dune exec bench/main.exe -- fig5     # one experiment
 
    Experiments: table1 effectiveness reconciliation fig5 fig6 fig7 fig8
-                reconcile-perf decision-cache cache-smoke automaton-lab
-                automaton-smoke faults faults-smoke vetting-lab
-                vet-smoke lint-lab lint-smoke verify-lab verify-smoke
-                diff-lab diff-smoke trace-lab obs-smoke health-smoke
-                market-lab market-smoke
-                ablation-compile ablation-isolation ablation-inclusion *)
+                reconcile-perf automaton-lab faults vetting-lab lint-lab
+                verify-lab diff-lab trace-lab market-lab
+                ablation-isolation ablation-inclusion
+
+   Tier-1 smoke gates (run by `dune runtest`, see bench/dune):
+                automaton-smoke faults-smoke vet-smoke lint-smoke
+                verify-smoke diff-smoke obs-smoke health-smoke
+                market-smoke *)
 
 let experiments : (string * (unit -> unit)) list =
   [ ("table1", Table1.run);
@@ -22,8 +24,6 @@ let experiments : (string * (unit -> unit)) list =
     ("fig7", Fig7.run);
     ("fig8", Fig8.run);
     ("reconcile-perf", Reconcile_perf.run);
-    ("decision-cache", Cache_bench.run);
-    ("cache-smoke", Cache_bench.smoke);
     ("automaton-lab", Automaton_lab.run);
     ("automaton-smoke", Automaton_lab.smoke);
     ("faults", Fault_lab.run);
@@ -41,7 +41,6 @@ let experiments : (string * (unit -> unit)) list =
     ("health-smoke", Health_lab.smoke);
     ("market-lab", Market_lab.run);
     ("market-smoke", Market_lab.smoke);
-    ("ablation-compile", Ablations.run_compile);
     ("ablation-isolation", Ablations.run_isolation);
     ("ablation-inclusion", Ablations.run_inclusion) ]
 

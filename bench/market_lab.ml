@@ -130,7 +130,7 @@ let check_epoch_trace ~label (txns : Market.txn list) =
 (* Phase 1+2: scripted churn with concurrent probe readers ---------------- *)
 
 let run_churn ~apps ~script_len ~flips ~quiescent_probes ~readers :
-    string list * Bench_util.Json.t =
+    string list * Telemetry.Json.t =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let t =
@@ -250,31 +250,31 @@ let run_churn ~apps ~script_len ~flips ~quiescent_probes ~readers :
     (Bench_util.fmt_us (Metrics.Histogram.percentile churn_h 50.))
     (Bench_util.fmt_us p99_c) (Bench_util.fmt_us p99_q)
     (Bench_util.fmt_us bound);
-  let module J = Bench_util.Json in
+  let module J = Telemetry.Json in
   let json =
     J.Obj
       [ ("phase", J.Str "churn");
-        ("apps", J.Int apps);
-        ("script", J.Int script_len);
-        ("submitted", J.Int stats.Market.submitted);
-        ("commits", J.Int stats.Market.commits);
-        ("rollbacks", J.Int stats.Market.rollbacks);
-        ("final_epoch", J.Int (Epoch.epoch t));
-        ("live_apps", J.Int (List.length (Epoch.apps t)));
-        ("reconcile_delta", J.Int deltas);
-        ("reconcile_full", J.Int fulls);
-        ("probe_pairs", J.Int (Atomic.get tally.probes));
-        ("torn", J.Int (Atomic.get tally.torn));
-        ("p99_quiescent_us", J.Float (p99_q *. 1e6));
-        ("p99_churn_us", J.Float (p99_c *. 1e6));
-        ("p99_bound_us", J.Float (bound *. 1e6)) ]
+        ("apps", Bench_util.num apps);
+        ("script", Bench_util.num script_len);
+        ("submitted", Bench_util.num stats.Market.submitted);
+        ("commits", Bench_util.num stats.Market.commits);
+        ("rollbacks", Bench_util.num stats.Market.rollbacks);
+        ("final_epoch", Bench_util.num (Epoch.epoch t));
+        ("live_apps", Bench_util.num (List.length (Epoch.apps t)));
+        ("reconcile_delta", Bench_util.num deltas);
+        ("reconcile_full", Bench_util.num fulls);
+        ("probe_pairs", Bench_util.num (Atomic.get tally.probes));
+        ("torn", Bench_util.num (Atomic.get tally.torn));
+        ("p99_quiescent_us", J.Num (p99_q *. 1e6));
+        ("p99_churn_us", J.Num (p99_c *. 1e6));
+        ("p99_bound_us", J.Num (bound *. 1e6)) ]
   in
   Epoch.close t;
   (!failures, json)
 
 (* Phase 3: fault-armed churn --------------------------------------------- *)
 
-let run_faulted ~apps ~script_len : string list * Bench_util.Json.t =
+let run_faulted ~apps ~script_len : string list * Telemetry.Json.t =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let t =
@@ -337,17 +337,20 @@ let run_faulted ~apps ~script_len : string list * Bench_util.Json.t =
        (List.filter
           (fun (e : Sandbox.audit_entry) -> e.Sandbox.action = "market-rollback")
           (Forensics.fault_log sandbox)));
-  let module J = Bench_util.Json in
+  let module J = Telemetry.Json in
   let json =
     J.Obj
       [ ("phase", J.Str "faulted");
-        ("script", J.Int script_len);
-        ("commits", J.Int stats.Market.commits);
-        ("rollbacks", J.Int stats.Market.rollbacks);
-        ("injected_verify", J.Int (Faults.injected Faults.Swap_verify));
-        ("injected_compile", J.Int (Faults.injected Faults.Swap_compile));
-        ("injected_publish", J.Int (Faults.injected Faults.Swap_publish));
-        ("final_epoch", J.Int (Epoch.epoch t)) ]
+        ("script", Bench_util.num script_len);
+        ("commits", Bench_util.num stats.Market.commits);
+        ("rollbacks", Bench_util.num stats.Market.rollbacks);
+        ( "injected_verify",
+          Bench_util.num (Faults.injected Faults.Swap_verify) );
+        ( "injected_compile",
+          Bench_util.num (Faults.injected Faults.Swap_compile) );
+        ( "injected_publish",
+          Bench_util.num (Faults.injected Faults.Swap_publish) );
+        ("final_epoch", Bench_util.num (Epoch.epoch t)) ]
   in
   Epoch.close t;
   (!failures, json)
@@ -367,7 +370,7 @@ let arm_watchdog seconds =
        ())
 
 let emit_json ~gate phases =
-  let module J = Bench_util.Json in
+  let module J = Telemetry.Json in
   Bench_util.write_json "BENCH_MARKET.json"
     (J.Obj [ ("bench", J.Str gate); ("phases", J.Arr phases) ])
 

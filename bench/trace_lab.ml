@@ -4,14 +4,14 @@
 
    - per-stage latency breakdown (queue wait / check / kernel exec /
      total) from the [lat:*] histograms a traced runtime records;
-   - tracing overhead on the cached hot path at several sampling
+   - tracing overhead on the engine's hot path at several sampling
      ratios — full sampling pays the span + histogram cost on every
      call, 1-in-N sampling amortizes it to the sampler's counter bump;
    - telemetry export: JSON and Prometheus snapshots of one run.
 
    `trace-lab` prints the full report; `obs-smoke` is the fast tier-1
    gate: tracing at the recommended 1-in-10 sampling must add <10%
-   wall-clock overhead to the cached hot path, both export formats
+   CPU overhead to the hot path, both export formats
    must parse/round-trip, and every denied span must carry a decision
    explanation. *)
 
@@ -22,8 +22,7 @@ open Sdnshield
 
 (* The CLI `telemetry` demo's manifest: MAX_PRIORITY 400 makes every
    4th call (priority 1000) a denial, so traces carry explained
-   denials; the small distinct-call population keeps the decision
-   cache hot. *)
+   denials. *)
 let demo_manifest =
   "PERM insert_flow LIMITING MAX_PRIORITY 400 AND OWN_FLOWS\n\
    PERM pkt_in_event\nPERM read_payload"
@@ -34,10 +33,10 @@ let pkt_in dpid =
       reason = Message.No_match; buffer_id = None }
 
 (** One traced (or untraced) run: an engine-guarded app on the
-    isolated runtime, [warmup] events to fill the decision cache and
-    settle the thread pool, then [events] timed ones.  Returns the
-    process-CPU seconds of the timed feed+drain: on a small CI box the
-    runtime's thread pipeline timeshares the cores, so wall clock
+    isolated runtime, [warmup] events to settle the thread pool, then
+    [events] timed ones.  Returns the process-CPU seconds of the timed
+    feed+drain: on a small CI box the runtime's thread pipeline
+    timeshares the cores, so wall clock
     measures the scheduler; CPU time ([Sys.time], getrusage-backed,
     all threads) measures the work — which is what tracing adds. *)
 let run_workload ?trace ~tag ~warmup ~events () =
@@ -61,9 +60,7 @@ let run_workload ?trace ~tag ~warmup ~events () =
       tag
   in
   let engine =
-    Engine.create ~cache_size:Decision_cache.default_max_entries
-      ~ownership:(Ownership.create ())
-      ~app_name:tag ~cookie:1
+    Engine.create ~ownership:(Ownership.create ()) ~app_name:tag ~cookie:1
       (Perm_parser.manifest_exn demo_manifest)
   in
   let config = { Runtime.default_config with Runtime.trace } in
@@ -84,7 +81,6 @@ let run_workload ?trace ~tag ~warmup ~events () =
   Runtime.drain rt;
   let dt = Sys.time () -. c0 in
   Runtime.shutdown rt;
-  Metrics.unregister_cache ("engine:" ^ tag);
   dt
 
 (** Overhead measurement: [trials] paired traced/untraced runs,
@@ -109,8 +105,17 @@ let median xs =
 (** One churn run through the live-update pipeline (Epoch + Market),
     traced or not: CPU seconds for [txns] lifecycle transactions.
     Quantifies what transaction spans + stage histograms add to
-    market-lab-style churn throughput. *)
+    market-lab-style churn throughput.
+
+    Both runs of a pair replay the same script, so every run starts
+    from the same process state: the [Nf]/[Inclusion] memos cleared
+    (otherwise the pair's second run finds the first run's normal
+    forms and inclusion answers already computed, and whichever side
+    runs second looks cheaper) and the heap collected. *)
 let run_churn ?trace ~txns ~apps ~seed () =
+  Nf.clear_memo ();
+  Inclusion.clear_memo ();
+  Gc.full_major ();
   let t =
     match Epoch.create ~policy:"" () with
     | Ok t -> t
@@ -136,7 +141,8 @@ let run_churn ?trace ~txns ~apps ~seed () =
     discarded warmup run first (the process's first churn pays the
     pipeline's cold-start costs), and the order within a pair
     alternates between trials so a residual first-runs-slower bias
-    cancels instead of landing on one side. *)
+    cancels instead of landing on one side — exactly, when [trials] is
+    even. *)
 let measure_churn_overhead ~trials ~txns ~apps () =
   ignore (run_churn ~txns:(min txns 20) ~apps ~seed:40 ());
   List.init trials (fun i ->
@@ -205,7 +211,7 @@ let latency_section ~events () =
 
 let overhead_section () =
   Bench_util.subhr
-    "tracing overhead on the cached hot path (median of 5 paired trials)";
+    "tracing overhead on the hot path (median of 5 paired trials)";
   let measured =
     List.map
       (fun sampling ->
@@ -245,7 +251,7 @@ let churn_section ~trials ~txns ~apps () =
 (* BENCH_OBS.json: the lab's measurements as a repo-root artifact, so
    the observability-overhead trajectory is part of the tree. *)
 let emit_json ~gate ~call_rows ~churn ~churn_txns =
-  let module J = Bench_util.Json in
+  let module J = Telemetry.Json in
   Bench_util.write_json "BENCH_OBS.json"
     (J.Obj
        [ ("gate", J.Str gate);
@@ -254,13 +260,13 @@ let emit_json ~gate ~call_rows ~churn ~churn_txns =
              (List.map
                 (fun (sampling, events, pairs, pct) ->
                   J.Obj
-                    [ ("sampling", J.Float sampling);
-                      ("events", J.Int events);
+                    [ ("sampling", J.Num sampling);
+                      ("events", Bench_util.num events);
                       ( "untraced_us_per_event",
-                        J.Float (median_us_per_event ~events pairs fst) );
+                        J.Num (median_us_per_event ~events pairs fst) );
                       ( "traced_us_per_event",
-                        J.Float (median_us_per_event ~events pairs snd) );
-                      ("overhead_pct", J.Float pct) ])
+                        J.Num (median_us_per_event ~events pairs snd) );
+                      ("overhead_pct", J.Num pct) ])
                 call_rows) );
          ( "churn_tracing",
            let pairs, pct = churn in
@@ -268,11 +274,11 @@ let emit_json ~gate ~call_rows ~churn ~churn_txns =
              median (List.map sel pairs) /. float_of_int churn_txns *. 1e3
            in
            J.Obj
-             [ ("txns", J.Int churn_txns);
-               ("trials", J.Int (List.length pairs));
-               ("untraced_ms_per_txn", J.Float (per_txn fst));
-               ("traced_ms_per_txn", J.Float (per_txn snd));
-               ("overhead_pct", J.Float pct) ] ) ])
+             [ ("txns", Bench_util.num churn_txns);
+               ("trials", Bench_util.num (List.length pairs));
+               ("untraced_ms_per_txn", J.Num (per_txn fst));
+               ("traced_ms_per_txn", J.Num (per_txn snd));
+               ("overhead_pct", J.Num pct) ] ) ])
 
 let export_section trace =
   Bench_util.subhr "telemetry export";
@@ -291,7 +297,7 @@ let run () =
   export_section trace;
   let call_rows = overhead_section () in
   let churn_txns = 120 in
-  let churn = churn_section ~trials:5 ~txns:churn_txns ~apps:12 () in
+  let churn = churn_section ~trials:10 ~txns:churn_txns ~apps:12 () in
   emit_json ~gate:"trace-lab" ~call_rows ~churn ~churn_txns;
   Fmt.pr
     "@.note: full sampling pays the span + histogram cost on every call;@.";
@@ -372,29 +378,28 @@ let smoke () =
       fail "lat:total percentiles out of order: min=%g p50=%g p99=%g max=%g"
         e.Metrics.Histogram.min p50 p99 e.Metrics.Histogram.max);
   (* 4. Overhead gate: tracing at the recommended 1-in-10 sampling
-     adds <10% to the cached hot path.  Min-of-trials, interleaved,
-     so scheduler noise hits both sides alike. *)
+     adds <10% to the hot path.  Median of interleaved pairs, so
+     scheduler noise hits both sides alike. *)
   let call_pairs = measure_overhead ~sampling:0.1 ~trials:9 ~events:2_000 () in
   let pct = overhead_pct call_pairs in
   Fmt.pr "hot path overhead at sampling 0.1 (median of 9 paired trials): \
           %+.1f %%@."
     pct;
   if pct >= 10. then
-    fail "tracing at sampling 0.1 adds %.1f%% >= 10%% to the cached hot path"
-      pct;
+    fail "tracing at sampling 0.1 adds %.1f%% >= 10%% to the hot path" pct;
   (* 5. Churn gate: transaction spans + stage histograms add <10% to
      market-lab-style churn throughput.  Each transaction does
      milliseconds of vet/reconcile/compile work against microseconds
      of span recording, so a breach means recording grew a systematic
      cost, not that the box is noisy. *)
-  let churn_txns = 100 in
+  let churn_txns = 100 and churn_trials = 10 in
   let churn_pairs =
-    measure_churn_overhead ~trials:5 ~txns:churn_txns ~apps:10 ()
+    measure_churn_overhead ~trials:churn_trials ~txns:churn_txns ~apps:10 ()
   in
   let churn_pct = overhead_pct churn_pairs in
-  Fmt.pr "churn tracing overhead (%d txns, median of 5 paired trials): \
+  Fmt.pr "churn tracing overhead (%d txns, median of %d paired trials): \
           %+.1f %%@."
-    churn_txns churn_pct;
+    churn_txns churn_trials churn_pct;
   if churn_pct >= 10. then
     fail "lifecycle tracing adds %.1f%% >= 10%% to churn throughput" churn_pct;
   emit_json ~gate:"obs-smoke"

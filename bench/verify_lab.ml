@@ -7,7 +7,7 @@
      semantically sound: replayed through [Filter_eval], the call is
      admitted by the manifest side and escapes the bound — and the
      certificate's own cross-check (the same witnesses through
-     [Engine], [Compiled] and [Automaton]) agrees;
+     the interpreting [Engine] and the [Automaton]) agrees;
    - after reconciliation repairs the dirty manifest, the very same
      obligations certify — the paper's "repair produces a compliant
      manifest" claim, checked rather than assumed;
@@ -21,7 +21,7 @@
 
 open Sdnshield
 module Hostile = Shield_workload.Hostile_gen
-module J = Bench_util.Json
+module J = Shield_controller.Telemetry.Json
 
 let failures = ref []
 let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt
@@ -99,7 +99,7 @@ let check_dirty_corpus () =
     if raw.Verify.crosscheck.Verify.replayed = 0 then
       fail "dirty: refuted but no witness was replayed through the checkers";
     if not raw.Verify.crosscheck.Verify.checkers_agree then
-      fail "dirty: Engine/Compiled/Automaton disagreed with Filter_eval: %s"
+      fail "dirty: Engine/Automaton disagreed with Filter_eval: %s"
         (String.concat "; " raw.Verify.crosscheck.Verify.crosscheck_notes)
   | v ->
     fail "dirty: expected Refuted on the raw manifest, got %s"
@@ -191,21 +191,21 @@ let emit_json ~gate ~raw ~raw_dt ~rep_dt ~clean_dt =
          ("corpus", J.Str "examples/verify dirty/clean");
          ( "verdicts",
            J.Obj
-             [ ("certified", J.Int s.Verify.certified_n);
-               ("refuted", J.Int s.Verify.refuted_n);
-               ("unverified", J.Int s.Verify.unverified_n) ] );
-         ("dirty_counterexamples", J.Int (List.length cexs));
+             [ ("certified", Bench_util.num s.Verify.certified_n);
+               ("refuted", Bench_util.num s.Verify.refuted_n);
+               ("unverified", Bench_util.num s.Verify.unverified_n) ] );
+         ("dirty_counterexamples", Bench_util.num (List.length cexs));
          ( "dirty_witness_replays",
-           J.Int raw.Verify.crosscheck.Verify.replayed );
+           Bench_util.num raw.Verify.crosscheck.Verify.replayed );
          ( "checkers_agree",
            J.Bool raw.Verify.crosscheck.Verify.checkers_agree );
          ( "infer_consistent",
            J.Bool raw.Verify.crosscheck.Verify.infer_consistent );
          ( "timings_us",
            J.Obj
-             [ ("dirty_raw", J.Float (raw_dt *. 1e6));
-               ("dirty_reconciled", J.Float (rep_dt *. 1e6));
-               ("clean", J.Float (clean_dt *. 1e6)) ] ) ])
+             [ ("dirty_raw", J.Num (raw_dt *. 1e6));
+               ("dirty_reconciled", J.Num (rep_dt *. 1e6));
+               ("clean", J.Num (clean_dt *. 1e6)) ] ) ])
 
 let report_outcome ~gate failures =
   match failures with

@@ -41,7 +41,7 @@ let () =
   let composed = firewall ~inner:router in
   Fmt.pr "--- Composed policy ---@.%a@.@." pp_policy composed;
 
-  Fmt.pr "--- Compiled rules (with ownership) ---@.";
+  Fmt.pr "--- Compiler output: rules with ownership ---@.";
   let rules = Compiler.compile composed in
   List.iter (fun r -> Fmt.pr "%a@." Compiler.pp_rule r) rules;
 

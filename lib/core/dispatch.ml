@@ -3,10 +3,10 @@
    Every checker on the permission hot path answers the same two
    questions before it evaluates a single filter: which token does this
    call require, and how are the stateful filter dimensions (ownership,
-   rule budgets) answered?  This module holds both, so the interpreting
-   [Engine], the closure-compiled [Compiled] checker and the flat
-   [Automaton] share one call→token mapping and one ownership
-   environment instead of three drifting copies. *)
+   rule budgets) answered?  This module holds both, so [Engine] (and
+   its interpreting reference strategy) and the flat [Automaton] share
+   one call→token mapping and one ownership environment instead of
+   drifting copies. *)
 
 open Shield_openflow
 open Shield_controller

@@ -1,9 +1,9 @@
 (** Shared check-path plumbing: the call→token mapping and the
     ownership-backed evaluation environment used by every checker on
-    the permission hot path ({!Engine}, {!Compiled}, {!Automaton}).
+    the permission hot path ({!Engine}, {!Automaton}).
 
-    Factored out of {!Engine} so the compiled checkers can dispatch on
-    tokens without depending on the interpreting engine (and so the
+    Factored out of {!Engine} so the automaton can dispatch on tokens
+    without depending on the engine (and so the
     engine can, in turn, delegate its evaluation to them without a
     dependency cycle).  See docs/ARCHITECTURE.md for the layer map. *)
 

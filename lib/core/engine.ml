@@ -23,18 +23,15 @@ type t = {
           ownership store: pure stateless checking, as the paper
           characterises the permission engine for its Figure-5
           microbenchmark. *)
-  cache : Decision_cache.t option;
-      (** Decision memoization over canonicalized call signatures;
-          stateful entries are generation-gated on [ownership] (see
-          docs/CACHING.md). *)
   env : Filter_eval.env;
-  evals : (Attrs.t -> bool) option array;
+  evals : (Api.call -> bool) option array;
       (** Per-token filter evaluators, indexed by {!Token.index} —
           filter and environment pre-bound so the hot path does no
           manifest scan or closure construction. *)
   automaton : Automaton.t option;
-      (** With [~strategy:`Automaton], the decision DAG the [evals]
-          slots delegate to; also serves {!check_batch}'s fast path. *)
+      (** The decision DAG the [evals] slots delegate to (absent only
+          under the [`Interpreted] reference strategy); also serves
+          {!check_batch}'s fast path. *)
   mutex : Mutex.t;  (** Guards stateful check/record sequences. *)
   mutable checks : int;
   mutable denials : int;
@@ -75,8 +72,8 @@ let env_of ~ownership ~cookie : Filter_eval.env =
     all engines of one deployment; [topo] enables virtual-topology
     translation when the manifest requests it.  Manifests containing
     unexpanded macros are rejected: reconciliation must run first. *)
-let create ?topo ?(record_state = true) ?cache_size
-    ?(strategy = `Interpreted) ~ownership ~app_name ~cookie
+let create ?topo ?(record_state = true) ?(strategy = `Automaton) ~ownership
+    ~app_name ~cookie
     (manifest : Perm.manifest) : t =
   (match Perm.macros manifest with
   | [] -> ()
@@ -95,15 +92,6 @@ let create ?topo ?(record_state = true) ?cache_size
            app_name)
     | None, _ -> None
   in
-  let cache =
-    match cache_size with
-    | None -> None
-    | Some max_entries ->
-      Some
-        (Decision_cache.create ~name:("engine:" ^ app_name) ~max_entries
-           ~generation:(fun () -> Ownership.generation ownership)
-           manifest)
-  in
   let env = env_of ~ownership ~cookie in
   let evals = Array.make Token.count None in
   let automaton =
@@ -113,23 +101,22 @@ let create ?topo ?(record_state = true) ?cache_size
         (fun (p : Perm.t) ->
           let filter = p.Perm.filter in
           evals.(Token.index p.Perm.token) <-
-            Some (fun attrs -> Filter_eval.eval env filter attrs))
+            Some (fun call -> Filter_eval.eval env filter (Attrs.of_call call)))
         manifest;
       None
     | `Automaton ->
       (* One shared DAG; the per-token slots dispatch into it so the
-         rest of the engine (cache, vtopo, recording, explanations) is
+         rest of the engine (vtopo, recording, explanations) is
          strategy-agnostic. *)
       let a = Automaton.of_manifest ~env manifest in
       List.iter
         (fun (p : Perm.t) ->
           let token = p.Perm.token in
-          evals.(Token.index token) <-
-            Some (fun attrs -> Automaton.eval_token a token attrs))
+          evals.(Token.index token) <- Some (Automaton.eval_call a token))
         manifest;
       Some a
   in
-  { app_name; cookie; manifest; ownership; vtopo; record_state; cache; env;
+  { app_name; cookie; manifest; ownership; vtopo; record_state; env;
     evals; automaton; mutex = Mutex.create (); checks = 0; denials = 0 }
 
 (* Token resolution --------------------------------------------------------- *)
@@ -182,12 +169,7 @@ let check_unlocked t (call : Api.call) : Api.decision =
     match t.evals.(Token.index token) with
     | None -> deny (Printf.sprintf "missing permission %s" (Token.to_string token))
     | Some eval ->
-      let pass =
-        match t.cache with
-        | None -> eval (Attrs.of_call call)
-        | Some cache -> Decision_cache.check cache ~token ~call ~eval
-      in
-      if pass then begin
+      if eval call then begin
         record_state t call;
         Api.Allow
       end
@@ -212,15 +194,14 @@ let check t call =
 
 (** Batched checking: one verdict per call, in order, each decided as
     {!check} would at that position.  When the automaton alone decides
-    — [`Automaton] strategy with no decision cache, no virtual
-    topology, and no state recording — the whole array goes through
-    {!Automaton.check_batch} (shared scratch, coalesced repeats);
+    — no virtual topology and no state recording — the whole array
+    goes through {!Automaton.check_batch} (shared scratch, coalesced
+    repeats);
     otherwise each element takes the ordinary {!check} path, so the
     batch is merely a loop and stays bit-for-bit compatible. *)
 let check_batch t (calls : Api.call array) : Api.decision array =
   match t.automaton with
-  | Some a
-    when (not t.record_state) && t.vtopo = None && t.cache = None ->
+  | Some a when (not t.record_state) && t.vtopo = None ->
     let out = Automaton.check_batch a calls in
     t.checks <- t.checks + Array.length calls;
     Array.iter
@@ -252,10 +233,9 @@ let check_transaction t (calls : Api.call list) :
 (* Explained checking --------------------------------------------------------
 
    Same decision procedure as [check_unlocked] — same counters, same
-   cache consultation, same state recording, same [Deny] messages — but
-   additionally reporting provenance: which cache level served the
-   decision and which token/filter clause made it.  Kept separate so
-   the plain hot path stays allocation-light. *)
+   state recording, same [Deny] messages — but additionally reporting
+   provenance: which token/filter clause made the decision.  Kept
+   separate so the plain hot path stays allocation-light. *)
 
 let check_explained_unlocked t (call : Api.call) :
     Api.decision * Api.check_info =
@@ -264,7 +244,7 @@ let check_explained_unlocked t (call : Api.call) :
     t.denials <- t.denials + 1;
     Api.Deny why
   in
-  let info ?explain cache = { Api.cache; explain } in
+  let info explain = { Api.explain = Some explain } in
   if
     match t.vtopo with
     | None -> false
@@ -272,34 +252,22 @@ let check_explained_unlocked t (call : Api.call) :
   then
     ( deny "virtual topology: physical switches are not addressable",
       info
-        ~explain:
-          "virtual-topology confinement: the call addresses a physical \
-           datapath outside the app's big-switch view"
-        Api.Uncached )
+        "virtual-topology confinement: the call addresses a physical \
+         datapath outside the app's big-switch view" )
   else
   match token_of_call call with
   | None ->
-    ( Api.Allow,
-      info ~explain:"no permission token governs this call" Api.Uncached )
+    (Api.Allow, info "no permission token governs this call")
   | Some token -> (
     let tok = Token.to_string token in
     match t.evals.(Token.index token) with
     | None ->
       ( deny (Printf.sprintf "missing permission %s" tok),
-        info
-          ~explain:(Printf.sprintf "token %s: not granted by the manifest" tok)
-          Api.Uncached )
+        info (Printf.sprintf "token %s: not granted by the manifest" tok) )
     | Some eval ->
-      let pass, cache_outcome =
-        match t.cache with
-        | None -> (eval (Attrs.of_call call), Api.Uncached)
-        | Some cache ->
-          let pass, o = Decision_cache.check_outcome cache ~token ~call ~eval in
-          (pass, Decision_cache.to_cache_outcome o)
-      in
+      let pass = eval call in
       (* The clause-level account re-evaluates the filter.
-         [Filter_eval.explain] always agrees with [eval], and the cache
-         never disagrees with [eval] (docs/CACHING.md), so the verdict
+         [Filter_eval.explain] always agrees with [eval], so the verdict
          reported is the verdict served. *)
       let filter =
         match Perm.find t.manifest token with
@@ -307,18 +275,16 @@ let check_explained_unlocked t (call : Api.call) :
         | None -> Filter.False
       in
       let _, why = Filter_eval.explain t.env filter (Attrs.of_call call) in
-      let explain = Printf.sprintf "token %s: %s" tok why in
+      let explain = info (Printf.sprintf "token %s: %s" tok why) in
       if pass then begin
         record_state t call;
-        (Api.Allow, info ~explain cache_outcome)
+        (Api.Allow, explain)
       end
-      else
-        ( deny ("permission filter rejects call: " ^ tok),
-          info ~explain cache_outcome ))
+      else (deny ("permission filter rejects call: " ^ tok), explain))
 
 (** {!check} with provenance: the same decision (bit-for-bit, including
-    ownership recording and counters) plus the cache outcome and a
-    prose account of the deciding token and filter clause. *)
+    ownership recording and counters) plus a prose account of the
+    deciding token and filter clause. *)
 let check_explained t call =
   if t.record_state && is_stateful call then begin
     Mutex.lock t.mutex;
@@ -511,8 +477,6 @@ let checker (t : t) : Api.checker =
     snapshot = None }
 
 let stats t = (t.checks, t.denials)
-
-let cache_stats t = Option.map Decision_cache.stats t.cache
 
 let automaton_stats t = Option.map Automaton.build_stats t.automaton
 

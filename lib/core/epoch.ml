@@ -47,8 +47,6 @@ type t = {
   policy : Policy.t;
   sdeps : (Policy.stmt * deps) list;  (* policy order, one entry per stmt *)
   limits : Budget.limits option;
-  cache_size : int option;
-  strategy : [ `Interpreted | `Automaton ];
   strict_verify : bool;
   topo : Topology.t option;
   ownership : Ownership.t;
@@ -139,8 +137,8 @@ let register_gauges t =
 
 let close (_ : t) = List.iter Metrics.unregister_gauge gauge_names
 
-let create ?limits ?cache_size ?(strategy = `Interpreted)
-    ?(strict_verify = false) ?topo ~policy () : (t, string) result =
+let create ?limits ?(strict_verify = false) ?topo ~policy () :
+    (t, string) result =
   match Vetting.vet_policy ?limits policy with
   | Vetting.Rejected r ->
     Error (Printf.sprintf "policy rejected at %s: %s" r.Vetting.stage r.reason)
@@ -148,12 +146,11 @@ let create ?limits ?cache_size ?(strategy = `Interpreted)
     let policy = a.Vetting.value in
     Ok
       (let t =
-         { policy; sdeps = analyze policy; limits; cache_size; strategy;
-           strict_verify; topo; ownership = Ownership.create ();
-           mutex = Mutex.create (); epoch_counter = Atomic.make 0;
-           slots = Atomic.make []; originals = []; cookies = [];
-           next_cookie = 1; delta_runs = Atomic.make 0;
-           full_runs = Atomic.make 0 }
+         { policy; sdeps = analyze policy; limits; strict_verify; topo;
+           ownership = Ownership.create (); mutex = Mutex.create ();
+           epoch_counter = Atomic.make 0; slots = Atomic.make [];
+           originals = []; cookies = []; next_cookie = 1;
+           delta_runs = Atomic.make 0; full_runs = Atomic.make 0 }
        in
        register_gauges t;
        t)
@@ -301,17 +298,21 @@ let cookie_for t name =
     t.cookies <- (name, c) :: t.cookies;
     c
 
+(* Run [f] under a fresh budget of the deployment's limits (unbounded
+   when none were given): each stage that does lattice or compile work
+   gets its own allowance. *)
+let scoped t f =
+  match t.limits with
+  | None -> f ()
+  | Some limits -> Budget.with_scope (Budget.create ~limits ()) f
+
 (* The reconcile stage.  [changed] is the app being installed/upgraded
    ([Some (app, manifest)]) or revoked ([None]); [app] names it either
    way.  Returns the statements that ran (for verification), the
    resulting report, and whether the delta path was committed. *)
 let reconcile_stage t ~app ~changed () :
     Policy.t * Reconcile.report * bool =
-  let scoped f =
-    match t.limits with
-    | None -> f ()
-    | Some limits -> Budget.with_scope (Budget.create ~limits ()) f
-  in
+  let scoped f = scoped t f in
   let full () =
     Atomic.incr t.full_runs;
     let apps =
@@ -393,22 +394,25 @@ let verify_stage t stages policy' report () =
   cert
 
 (* Build the records for every app whose manifest the transaction
-   publishes.  Nothing shared is touched: a failure here (including an
-   injected [Swap_compile] fault) aborts with all slots intact. *)
+   publishes.  Automaton construction ticks the budget, so it runs
+   under the deployment's limits like reconciliation.  Nothing shared
+   is touched: a failure here (an exhausted budget, an injected
+   [Swap_compile] fault) aborts with all slots intact. *)
 let compile_stage t ~next_epoch to_publish () =
-  List.map
-    (fun (name, manifest) ->
-      Faults.point Faults.Swap_compile;
-      let engine =
-        Engine.create ?topo:t.topo ?cache_size:t.cache_size
-          ~strategy:t.strategy ~ownership:t.ownership ~app_name:name
-          ~cookie:(cookie_for t name) manifest
-      in
-      ( name,
-        Active
-          { epoch = next_epoch; app = name; manifest; engine;
-            checker = Engine.checker engine } ))
-    to_publish
+  scoped t (fun () ->
+      Budget.set_stage "compile";
+      List.map
+        (fun (name, manifest) ->
+          Faults.point Faults.Swap_compile;
+          let engine =
+            Engine.create ?topo:t.topo ~ownership:t.ownership ~app_name:name
+              ~cookie:(cookie_for t name) manifest
+          in
+          ( name,
+            Active
+              { epoch = next_epoch; app = name; manifest; engine;
+                checker = Engine.checker engine } ))
+        to_publish)
 
 (* Swap the prepared slots in, keeping an undo list: a fault mid-way
    (site [Swap_publish], armed before *each* swap) restores every

@@ -21,12 +21,8 @@ type t = {
           outside the lock. *)
   generation : int Atomic.t;
       (** Bumped on every mutation (inside the store's lock, before the
-          mutation lands).  Decision caches gate entries whose filters
-          inspect ownership state (OWN_FLOWS, MAX_RULE_COUNT) on this
-          counter: an entry recorded at generation [g] is served only
-          while the store is still at [g], so a cached decision can
-          never outlive the state it was derived from.  Atomic so the
-          checking hot path reads it without taking the store's lock.
+          mutation lands).  Atomic so observers read it without taking
+          the store's lock.
 
           The bump-BEFORE-mutate ordering is load-bearing, not
           stylistic.  The counter is monotone and moves strictly before
@@ -34,17 +30,13 @@ type t = {
           reads bracketing a locked read of the table agree on [g],
           the table content seen is exactly the generation-[g] state —
           no mutation can land between them without moving the
-          counter first.  A cache entry tagged with a generation
-          captured before its evaluation is therefore served only when
-          re-evaluating now would read the same state (equivalently:
-          entries are over-invalidated under races, never stale-served).
-          With the reversed order (mutate, then bump) there would be a
-          window where the table had changed but the counter had not,
-          and a concurrently cached old decision would be served as
-          current.  The two-domain hammer in test/test_ownership.ml
-          pins this ordering: each writer mutation adds exactly one
-          rule, so a reader whose bracketing generation reads agree
-          must see [count = generation]. *)
+          counter first.  With the reversed order (mutate, then bump)
+          there would be a window where the table had changed but the
+          counter had not, and a value derived from the old table
+          would pass as current.  The two-domain hammer in
+          test/test_ownership.ml pins this ordering: each writer
+          mutation adds exactly one rule, so a reader whose bracketing
+          generation reads agree must see [count = generation]. *)
   mutex : Mutex.t;
 }
 

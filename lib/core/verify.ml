@@ -348,41 +348,34 @@ let check_minimality env (repairs : Reconcile.violation list) : minimality =
 let decision_allows = function Api.Allow -> true | Api.Deny _ -> false
 
 (** What [Filter_eval] says a manifest decides for a call — the
-    semantic ground truth the three checkers are compared against. *)
+    semantic ground truth both checkers are compared against. *)
 let expected_decision (m : Perm.manifest) (call : Api.call) : bool =
   match Dispatch.token_of_call call with
   | None -> true
   | Some t ->
     Perm.grants_token m t && eval_f (Perm.filter_of m t) (Attrs.of_call call)
 
-type trio = {
-  engine : Engine.t option;
-  compiled : Compiled.t option;
-  automaton : Automaton.t option;
-}
+(* The interpreting reference engine and the compiled automaton, each
+   replayed independently against [Filter_eval]'s expectation. *)
+type pair = { engine : Engine.t option; automaton : Automaton.t option }
 
-let build_trio notes (m : Perm.manifest) : trio =
+let build_pair notes (m : Perm.manifest) : pair =
   let engine =
     match
-      Engine.create ~record_state:false ~ownership:(Ownership.create ())
-        ~app_name:"verify" ~cookie:1 m
+      Engine.create ~record_state:false ~strategy:`Interpreted
+        ~ownership:(Ownership.create ()) ~app_name:"verify" ~cookie:1 m
     with
     | e -> Some e
     | exception Invalid_argument msg ->
       notes := Fmt.str "engine replay skipped: %s" msg :: !notes;
       None
   in
-  let compiled =
-    match Compiled.of_manifest m with
-    | c -> Some c
-    | exception _ -> None
-  in
   let automaton =
     match Automaton.of_manifest m with
     | a -> Some a
     | exception _ -> None
   in
-  { engine; compiled; automaton }
+  { engine; automaton }
 
 let run_crosscheck ~(apps : (string * Perm.manifest) list)
     ~(obligations : obligation list) ~(extra : witness list) : crosscheck =
@@ -391,7 +384,7 @@ let run_crosscheck ~(apps : (string * Perm.manifest) list)
   let replayed = ref 0 in
   let replay (m : Perm.manifest) (call : Api.call) =
     let want = expected_decision m call in
-    let trio = build_trio notes m in
+    let pair = build_pair notes m in
     let one label decide =
       incr replayed;
       let got = decision_allows (decide call) in
@@ -405,13 +398,12 @@ let run_crosscheck ~(apps : (string * Perm.manifest) list)
           :: !notes
       end
     in
-    Option.iter (fun e -> one "engine" (Engine.check e)) trio.engine;
-    Option.iter (fun c -> one "compiled" (Compiled.check c)) trio.compiled;
-    Option.iter (fun a -> one "automaton" (Automaton.check a)) trio.automaton
+    Option.iter (fun e -> one "engine" (Engine.check e)) pair.engine;
+    Option.iter (fun a -> one "automaton" (Automaton.check a)) pair.automaton
   in
   (* Every synthesized witness is replayed against the manifest that
      admits it and (for boundary escapes and repair slack) against the
-     bound it escapes — a differential test of all three checkers on
+     bound it escapes — a differential test of both checkers on
      exactly the calls verification's verdict rests on. *)
   let witnesses =
     extra

@@ -23,7 +23,7 @@
     Verdicts are counted per stage in the
     {!Shield_controller.Metrics} gauge registry (names [vet-admitted],
     [vet-degraded], [vet-rejected], [vet-rejected:<stage>]) so
-    operators can see admission pressure next to cache and queue
+    operators can see admission pressure next to memo and queue
     metrics. *)
 
 type rejection = {
@@ -88,8 +88,8 @@ val vet_manifest_compiled :
     manifests pay for their compiled size at admission rather than at
     app-load time.  The returned automaton is built against
     {!Filter_eval.pure_env}; engines that need the stateful dimensions
-    recompile with their own environment ([Engine.create
-    ~strategy:`Automaton]), which is cheap for anything this stage
+    recompile with their own environment ({!Engine.create}), which is
+    cheap for anything this stage
     admitted.  Never raises. *)
 
 val vet_policy : ?limits:Budget.limits -> string -> Policy.t verdict

@@ -21,7 +21,7 @@ type entry = {
           wrong lifecycle state or carry a manifest vetting rejects. *)
 }
 
-let app_name i = Printf.sprintf "app-%03d" i
+let app_name i = Printf.sprintf "app%03d" i
 
 let manifest_src rng ~complexity =
   let seed = Prng.int rng 1_000_000 in

@@ -1,9 +1,9 @@
 (* The decision automaton must agree exactly with the interpreting
-   engine and the closure-compiled checker: stateless decisions over
-   random manifests × calls, batched vs. one-at-a-time verdicts,
-   stateful (ownership/rule-budget) manifests under live mutation,
-   cache-fronted automata across generation invalidations, and the
-   leaf-mapped explanations against [Filter_eval.explain]'s wording. *)
+   reference engine: stateless decisions over random manifests ×
+   calls, batched vs. one-at-a-time verdicts, stateful
+   (ownership/rule-budget) manifests under live mutation and random
+   insert/delete/expiry interleavings, and the leaf-mapped
+   explanations against [Filter_eval.explain]'s wording. *)
 
 open Shield_openflow
 open Shield_openflow.Types
@@ -19,25 +19,19 @@ let same_verdict d1 d2 =
   | Api.Allow, Api.Allow | Api.Deny _, Api.Deny _ -> true
   | _ -> false
 
-(* Engine (interpreted), Compiled, Automaton, and an Engine running the
-   automaton strategy must all agree on stateless decisions. *)
-let four_way_agree m call =
-  let engine =
-    Engine.create ~record_state:false
+(* The interpreting reference engine, the bare automaton and the
+   (automaton-backed) default engine must agree on stateless
+   decisions. *)
+let three_way_agree m call =
+  let engine strategy =
+    Engine.create ~record_state:false ~strategy
       ~ownership:(Ownership.create ())
       ~app_name:"cmp" ~cookie:1 m
   in
-  let engine_a =
-    Engine.create ~record_state:false ~strategy:`Automaton
-      ~ownership:(Ownership.create ())
-      ~app_name:"cmp-a" ~cookie:1 m
-  in
-  let compiled = Compiled.of_manifest m in
   let automaton = Automaton.of_manifest m in
-  let d = Engine.check engine call in
-  same_verdict d (Compiled.check compiled call)
-  && same_verdict d (Automaton.check automaton call)
-  && same_verdict d (Engine.check engine_a call)
+  let d = Engine.check (engine `Interpreted) call in
+  same_verdict d (Automaton.check automaton call)
+  && same_verdict d (Engine.check (engine `Automaton) call)
 
 let test_automaton_basic () =
   let m =
@@ -116,7 +110,7 @@ let test_priority_interval () =
   in
   let a = Automaton.of_manifest m in
   let e =
-    Engine.create ~record_state:false
+    Engine.create ~record_state:false ~strategy:`Interpreted
       ~ownership:(Ownership.create ())
       ~app_name:"prio" ~cookie:1 m
   in
@@ -144,7 +138,8 @@ let test_stateful_ownership () =
        PERM delete_flow LIMITING OWN_FLOWS"
   in
   let engine =
-    Engine.create ~ownership ~app_name:"alice" ~cookie:1 m
+    Engine.create ~strategy:`Interpreted ~ownership ~app_name:"alice"
+      ~cookie:1 m
     (* record_state defaults to true: approvals mutate the store *)
   in
   let env = Dispatch.env_of_ownership ~ownership ~cookie:1 in
@@ -189,17 +184,14 @@ let test_stateful_ownership () =
   agree "delete own flow" (delete "10.0.0.1");
   agree "delete foreign flow" (delete "10.9.9.9")
 
-(* A cache-fronted automaton must invalidate stateful entries on
-   ownership mutation (generation gating), not serve stale verdicts. *)
-let test_cache_invalidation_rebuild () =
+(* The same call re-decides after an ownership mutation: the DAG reads
+   the rule budget live, so a verdict never outlives the state it was
+   derived from. *)
+let test_mutation_redecides () =
   let ownership = Ownership.create () in
   let m = manifest "PERM insert_flow LIMITING MAX_RULE_COUNT 1" in
   let env = Dispatch.env_of_ownership ~ownership ~cookie:1 in
-  let a =
-    Automaton.of_manifest ~env ~cache_size:64
-      ~generation:(fun () -> Ownership.generation ownership)
-      m
-  in
+  let a = Automaton.of_manifest ~env m in
   let fm =
     Flow_mod.add ~priority:100 ~cookie:1
       ~match_:(Match_fields.make ~nw_dst:(Match_fields.exact_ip (ip "10.0.0.1")) ())
@@ -209,12 +201,15 @@ let test_cache_invalidation_rebuild () =
   (match Automaton.check a call with
   | Api.Allow -> ()
   | Api.Deny why -> Alcotest.failf "under budget, must allow: %s" why);
-  (* The decision is now cached.  Fill the budget behind the cache's
-     back; the generation gate must force re-evaluation. *)
+  (* Fill the budget behind the automaton's back. *)
   Ownership.record ownership ~dpid:1 fm ~cookie:1;
   (match Automaton.check a call with
   | Api.Deny _ -> ()
-  | Api.Allow -> Alcotest.fail "stale cached ALLOW served after mutation")
+  | Api.Allow -> Alcotest.fail "stale ALLOW served after mutation");
+  Ownership.forget ownership ~dpid:1 ~match_:fm.Flow_mod.match_ ~cookie:1;
+  match Automaton.check a call with
+  | Api.Allow -> ()
+  | Api.Deny why -> Alcotest.failf "budget freed again, must allow: %s" why
 
 (* Batched and one-at-a-time verdicts must be identical, including
    counters, on the generated workload traces. *)
@@ -235,10 +230,9 @@ let test_batch_matches_single_on_trace () =
   Alcotest.(check bool)
     "same counters" true
     (Automaton.stats a1 = Automaton.stats a2);
-  (* Engine's batched entry point with the automaton strategy. *)
+  (* Engine's batched entry point (automaton strategy by default). *)
   let e =
-    Engine.create ~record_state:false ~strategy:`Automaton
-      ~ownership:(Ownership.create ())
+    Engine.create ~record_state:false ~ownership:(Ownership.create ())
       ~app_name:"batch" ~cookie:1 m
   in
   let via_engine = Engine.check_batch e calls in
@@ -252,7 +246,7 @@ let test_batch_matches_single_on_trace () =
    [Filter_eval.explain]'s account exactly (the engine's wording). *)
 let explanations_agree m call =
   let engine =
-    Engine.create ~record_state:false
+    Engine.create ~record_state:false ~strategy:`Interpreted
       ~ownership:(Ownership.create ())
       ~app_name:"exp" ~cookie:1 m
   in
@@ -293,13 +287,141 @@ let test_explanations_basic () =
         true (explanations_agree m call))
     calls
 
+(* Stateful interleavings ------------------------------------------------------
+
+   Generated Figure-5 manifests whose flow tokens additionally carry
+   OWN_FLOWS and a small MAX_RULE_COUNT, so the budget binds within a
+   short run.  Each step is an insert or delete of one of a few
+   matches (the last one outside the manifests' 10/8 core), a
+   switch-side expiry observed by both engines, or a foreign app's
+   rule landing in both stores. *)
+
+type step =
+  | Insert of int * bool  (* match index, over the priority bound *)
+  | Delete of int
+  | Expire of int
+  | Foreign of int
+
+let pool = 6
+
+let pool_match i =
+  let addr =
+    if i = pool then "192.168.0.1" else Printf.sprintf "10.0.0.%d" (i + 1)
+  in
+  Match_fields.make ~dl_type:Eth_ip ~nw_dst:(Match_fields.exact_ip (ip addr)) ()
+
+let step_call = function
+  | Insert (i, high) ->
+    Some
+      (Api.Install_flow
+         ( 1,
+           Flow_mod.add
+             ~priority:(if high then 61_000 else 100)
+             ~cookie:1 ~match_:(pool_match i) ~actions:[ Action.Output 1 ] () ))
+  | Delete i ->
+    Some (Api.Install_flow (1, Flow_mod.delete ~match_:(pool_match i) ()))
+  | Expire _ | Foreign _ -> None
+
+let pp_step ppf = function
+  | Insert (i, high) ->
+    Fmt.pf ppf "insert %d%s" i (if high then " high" else "")
+  | Delete i -> Fmt.pf ppf "delete %d" i
+  | Expire i -> Fmt.pf ppf "expire %d" i
+  | Foreign i -> Fmt.pf ppf "foreign %d" i
+
+let stateful_arb =
+  let open QCheck in
+  let step =
+    Gen.(
+      let i = int_bound pool in
+      frequency
+        [ ( 5,
+            map2 (fun i h -> Insert (i, h)) i
+              (frequencyl [ (4, false); (1, true) ]) );
+          (2, map (fun i -> Delete i) i);
+          (2, map (fun i -> Expire i) i);
+          (1, map (fun i -> Foreign i) i) ])
+  in
+  make
+    ~print:(fun (seed, k, steps) ->
+      Fmt.str "seed=%d budget=%d [%a]" seed k
+        Fmt.(list ~sep:semi pp_step)
+        steps)
+    Gen.(
+      triple (int_bound 1000) (int_range 1 4) (list_size (int_range 1 40) step))
+
+let stateful_manifest ~seed ~budget =
+  let bound =
+    Filter.conj Filter.own_flows (Filter.atom (Filter.Max_rule_count budget))
+  in
+  List.map
+    (fun (p : Perm.t) ->
+      match p.Perm.token with
+      | Token.Insert_flow | Token.Delete_flow ->
+        { p with Perm.filter = Filter.conj p.Perm.filter bound }
+      | _ -> p)
+    (Perm_gen.generate ~seed ~complexity:Perm_gen.Medium ~focus:`Insert ())
+
+let allows = function Api.Allow -> true | Api.Deny _ -> false
+
+(* Both strategies, each over its own store, plus [Filter_eval] against
+   the automaton engine's pre-step store: every verdict agrees, and so
+   do the counters and the stores at the end. *)
+let stateful_interleaving_agrees (seed, budget, steps) =
+  let m = stateful_manifest ~seed ~budget in
+  let engine strategy =
+    let ownership = Ownership.create () in
+    ( ownership,
+      Engine.create ~strategy ~ownership ~app_name:"st" ~cookie:1 m )
+  in
+  let own_a, ea = engine `Automaton and own_i, ei = engine `Interpreted in
+  let expected call =
+    match Dispatch.token_of_call call with
+    | None -> true
+    | Some t ->
+      Perm.grants_token m t
+      && Filter_eval.eval
+           (Dispatch.env_of_ownership ~ownership:own_a ~cookie:1)
+           (Perm.filter_of m t) (Attrs.of_call call)
+  in
+  List.for_all
+    (fun step ->
+      match (step, step_call step) with
+      | _, Some call ->
+        let want = expected call in
+        let da = Engine.check ea call and di = Engine.check ei call in
+        allows da = want && allows di = want
+      | Expire i, None ->
+        let change =
+          Api.Flow_expired { dpid = 1; match_ = pool_match i; cookie = 1 }
+        in
+        Engine.observe ea change;
+        Engine.observe ei change;
+        true
+      | Foreign i, None ->
+        let fm =
+          Flow_mod.add ~priority:5 ~cookie:2 ~match_:(pool_match i)
+            ~actions:[] ()
+        in
+        List.iter
+          (fun own -> Ownership.record own ~dpid:1 fm ~cookie:2)
+          [ own_a; own_i ];
+        true
+      | (Insert _ | Delete _), None -> assert false)
+    steps
+  && Engine.stats ea = Engine.stats ei
+  && Ownership.all_rules own_a = Ownership.all_rules own_i
+
 (* Property suites ----------------------------------------------------------- *)
 
 let qsuite =
   [ QCheck.Test.make ~count:500
-      ~name:"automaton = compiled = interpreted (stateless)"
+      ~name:"automaton = interpreted (stateless)"
       (QCheck.pair Test_perm_ops.manifest_arb Test_filters.call_arb)
-      (fun (m, call) -> four_way_agree m call);
+      (fun (m, call) -> three_way_agree m call);
+    QCheck.Test.make ~count:100
+      ~name:"automaton = interpreted = Filter_eval (stateful interleavings)"
+      stateful_arb stateful_interleaving_agrees;
     QCheck.Test.make ~count:200 ~name:"check_batch = map check"
       (QCheck.pair Test_perm_ops.manifest_arb
          (QCheck.list_of_size (QCheck.Gen.int_range 0 40) Test_filters.call_arb))
@@ -321,8 +443,8 @@ let suite =
     Alcotest.test_case "priority interval fusion" `Quick test_priority_interval;
     Alcotest.test_case "stateful ownership/budget agreement" `Quick
       test_stateful_ownership;
-    Alcotest.test_case "cache invalidation on mutation" `Quick
-      test_cache_invalidation_rebuild;
+    Alcotest.test_case "mutation re-decides the same call" `Quick
+      test_mutation_redecides;
     Alcotest.test_case "batch = single on workload trace" `Quick
       test_batch_matches_single_on_trace;
     Alcotest.test_case "explanations match (unit)" `Quick test_explanations_basic ]

@@ -103,6 +103,81 @@ let test_request_validation () =
   Alcotest.(check bool) "consistent" true (Epoch.consistent t);
   Epoch.close t
 
+(* A policy can name churned apps: [Churn_gen.app_name] emits names the
+   policy lexer accepts, so a boundary on a generated app vets and
+   truncates that app's grant. *)
+let test_churn_app_governed () =
+  let app = Shield_workload.Churn_gen.app_name 7 in
+  let policy =
+    Printf.sprintf
+      "LET x = APP %s\n\
+       ASSERT x <= { PERM insert_flow LIMITING IP_DST 10.1.0.0 MASK \
+       255.255.0.0 }"
+      app
+  in
+  (match Vetting.vet_policy policy with
+  | Vetting.Admitted _ -> ()
+  | Vetting.Degraded (_, notes) ->
+    Alcotest.failf "policy naming %s degraded: %s" app
+      (String.concat "; " notes)
+  | Vetting.Rejected r ->
+    Alcotest.failf "policy naming %s rejected: %s" app r.reason);
+  let t = deploy ~policy () in
+  ignore
+    (committed "install"
+       (Epoch.apply t (Market.install app "PERM insert_flow")));
+  let ck = Epoch.checker t app in
+  Test_util.check_allow "inside the boundary" (ck.Api.check (insert ()));
+  Test_util.check_deny "outside the boundary"
+    (ck.Api.check (insert ~nw_dst:"10.2.0.1" ()));
+  Epoch.close t
+
+(* Compile-stage budget --------------------------------------------------------
+
+   The compile stage builds each published app's automaton under the
+   deployment's limits.  The conjunction of two six-clause port
+   disjunctions costs ~360 vetting steps but ~2300 automaton nodes
+   (path-sensitive construction tracks the shared IN_PORT tests), so
+   at 1000 steps it is admitted by vetting and then cut off at
+   compile. *)
+let test_compile_budget_rolls_back () =
+  let side fmt =
+    String.concat " OR " (List.init 6 (fun i -> Printf.sprintf fmt i (5 - i)))
+  in
+  let src =
+    Printf.sprintf "PERM insert_flow LIMITING (%s) AND (%s)"
+      (side "(TCP_DST %d AND IN_PORT %d)")
+      (side "(TCP_SRC %d AND IN_PORT %d)")
+  in
+  let limits = { Budget.default_limits with Budget.max_steps = 1000 } in
+  (match Vetting.vet_manifest ~limits src with
+  | Vetting.Rejected r ->
+    Alcotest.failf "precondition: vetting rejected: %s" r.reason
+  | Vetting.Admitted _ | Vetting.Degraded _ -> ());
+  let t =
+    match Epoch.create ~limits ~policy:"" () with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "deployment rejected: %s" e
+  in
+  ignore
+    (committed "small app"
+       (Epoch.apply t (Market.install "a" "PERM read_statistics")));
+  let r =
+    rolled_back "ports install" (Epoch.apply t (Market.install "ports" src))
+  in
+  Alcotest.(check string) "rolled back at compile" "compile" r.stage;
+  Alcotest.(check bool)
+    (Printf.sprintf "reason names the budget (%s)" r.reason)
+    true
+    (Test_util.contains_substring r.reason "budget exhausted");
+  Alcotest.(check int) "epoch unchanged" 1 r.at_epoch;
+  Test_util.check_deny "the rejected app stays fail-closed"
+    ((Epoch.checker t "ports").Api.check (insert ()));
+  Test_util.check_allow "the live app still serves"
+    ((Epoch.checker t "a").Api.check stats_call);
+  Alcotest.(check bool) "consistent" true (Epoch.consistent t);
+  Epoch.close t
+
 (* Rollback under injected faults ------------------------------------------- *)
 
 let test_rollback_at_every_swap_site () =
@@ -277,6 +352,10 @@ let suite =
   [ Alcotest.test_case "install/upgrade/revoke lifecycle" `Quick
       test_install_upgrade_revoke;
     Alcotest.test_case "request validation" `Quick test_request_validation;
+    Alcotest.test_case "churned app names are governable" `Quick
+      test_churn_app_governed;
+    Alcotest.test_case "compile-stage budget rolls back" `Quick
+      test_compile_budget_rolls_back;
     Alcotest.test_case "rollback at every swap fault site" `Quick
       test_rollback_at_every_swap_site;
     Alcotest.test_case "failed install is fail-closed" `Quick

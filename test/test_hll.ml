@@ -136,7 +136,7 @@ let test_deploy_strict_blocks_unauthorized_owner () =
       [ ("fw", 1, "PERM insert_flow");
         ("router", 2, "PERM insert_flow LIMITING ACTION FORWARD AND MAX_PRIORITY 100") ]
   in
-  (* Compiled band sits at priority ~60000: the router's MAX_PRIORITY
+  (* The compiled band sits at priority ~60000: the router's MAX_PRIORITY
      100 bound rejects every rule it co-owns. *)
   let policy =
     tag "fw" (if_ (tcp_dst 80) ~then_:(tag "router" (Forward 2)) ~else_:Drop)

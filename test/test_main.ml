@@ -12,9 +12,7 @@ let () =
       ("apps", Test_apps.suite);
       ("attacks", Test_attacks.suite);
       ("workload", Test_workload.suite);
-      ("compiled", Test_compiled.suite);
       ("automaton", Test_automaton.suite);
-      ("decision-cache", Test_decision_cache.suite);
       ("infer", Test_infer.suite);
       ("hll", Test_hll.suite);
       ("runtime-ext", Test_runtime_ext.suite);

@@ -4,9 +4,8 @@
    generation counter is bumped inside the lock *before* the table
    mutation lands, so two lock-free generation reads that bracket a
    locked read of the table and agree on [g] guarantee the table
-   content seen is exactly the generation-[g] state.  The decision
-   caches rely on this ordering to over-invalidate (never stale-serve)
-   under races; the two-domain hammer here pins it by construction:
+   content seen is exactly the generation-[g] state.  The two-domain
+   hammer here pins this ordering by construction:
    every writer mutation adds exactly one rule, so generation and rule
    count must agree in any bracketed-stable observation.  Reversing
    the bump and the mutation would make the hammer fail (a reader
@@ -33,9 +32,8 @@ let test_generation_counts_mutations () =
     (List.length (Ownership.rules_at own 1))
 
 let test_restore_bumps_generation () =
-  (* Rollback must invalidate gated cache entries even when it restores
-     bit-identical content — the caches key on the counter, not on the
-     rules. *)
+  (* Rollback must move the counter even when it restores bit-identical
+     content: observers key on the counter, not on the rules. *)
   let own = Ownership.create () in
   add_rule own 1;
   let snap = Ownership.snapshot own in

@@ -21,7 +21,7 @@ let dummy_span i =
   { Trace.seq = 0; app = "a"; call = "install_flow"; deputy = 0;
     start = float_of_int i; queue_wait = float_of_int i; check_dur = 0.;
     exec_dur = 0.; total = float_of_int i; decision = Trace.Allowed;
-    cache = Api.Uncached; explain = None }
+    explain = None }
 
 (* Span store ---------------------------------------------------------------- *)
 
@@ -122,9 +122,8 @@ let demo_manifest = "PERM insert_flow LIMITING MAX_PRIORITY 400"
 
 let test_engine_check_explained () =
   let e =
-    Engine.create ~cache_size:256
-      ~ownership:(Ownership.create ())
-      ~app_name:"explained" ~cookie:1
+    Engine.create ~ownership:(Ownership.create ()) ~app_name:"explained"
+      ~cookie:1
       (Perm_parser.manifest_exn demo_manifest)
   in
   (* Denied: explanation names the token and the failing clause. *)
@@ -151,14 +150,6 @@ let test_engine_check_explained () =
     | Some ex -> check_contains "missing perm explained" ~sub:"not granted" ex
     | None -> Alcotest.fail "missing-permission denial unexplained")
   | Api.Allow, _ -> Alcotest.fail "ungranted read_topology must be denied");
-  (* Repeating a call is served from the cache, and the provenance
-     says so. *)
-  let _, info = Engine.check_explained e (insert ~priority:1000) in
-  (match info.Api.cache with
-  | Api.L1_hit | Api.L2_hit -> ()
-  | o ->
-    Alcotest.failf "repeat not served from cache: %s"
-      (Api.cache_outcome_to_string o));
   (* [check_explained] and [check] agree. *)
   List.iter
     (fun call ->
@@ -166,23 +157,22 @@ let test_engine_check_explained () =
       let explained, _ = Engine.check_explained e call in
       Alcotest.(check bool) "explained = plain"
         (plain = Api.Allow) (explained = Api.Allow))
-    [ insert ~priority:100; insert ~priority:1000; Api.Read_topology ];
-  Metrics.unregister_cache "engine:explained"
+    [ insert ~priority:100; insert ~priority:1000; Api.Read_topology ]
 
-let test_compiled_check_explained () =
+let test_automaton_check_explained () =
   let m = Perm_parser.manifest_exn demo_manifest in
-  let c = Compiled.of_manifest ~cache_size:256 m in
-  (match Compiled.check_explained c (insert ~priority:1000) with
+  let a = Automaton.of_manifest m in
+  (match Automaton.check_explained a (insert ~priority:1000) with
   | Api.Deny _, info ->
     (match info.Api.explain with
-    | Some ex -> check_contains "compiled explains" ~sub:"MAX_PRIORITY 400" ex
-    | None -> Alcotest.fail "compiled denial unexplained")
-  | Api.Allow, _ -> Alcotest.fail "compiled must deny priority 1000");
+    | Some ex -> check_contains "automaton explains" ~sub:"MAX_PRIORITY 400" ex
+    | None -> Alcotest.fail "automaton denial unexplained")
+  | Api.Allow, _ -> Alcotest.fail "automaton must deny priority 1000");
   List.iter
     (fun call ->
-      let plain = Compiled.check c call in
-      let explained, _ = Compiled.check_explained c call in
-      Alcotest.(check bool) "compiled explained = plain" (plain = Api.Allow)
+      let plain = Automaton.check a call in
+      let explained, _ = Automaton.check_explained a call in
+      Alcotest.(check bool) "automaton explained = plain" (plain = Api.Allow)
         (explained = Api.Allow))
     [ insert ~priority:100; insert ~priority:1000; Api.Read_topology ]
 
@@ -306,9 +296,8 @@ let test_traced_runtime_denials_explained () =
       "traced"
   in
   let engine =
-    Engine.create ~cache_size:256
-      ~ownership:(Ownership.create ())
-      ~app_name:"traced" ~cookie:1
+    Engine.create ~ownership:(Ownership.create ()) ~app_name:"traced"
+      ~cookie:1
       (Perm_parser.manifest_exn
          "PERM insert_flow LIMITING MAX_PRIORITY 400\nPERM pkt_in_event")
   in
@@ -344,7 +333,6 @@ let test_traced_runtime_denials_explained () =
   | Some st -> Alcotest.(check int) "snapshot trace recorded" 20 st.Trace.recorded
   | None -> Alcotest.fail "telemetry snapshot lost the trace store");
   Runtime.shutdown rt;
-  Metrics.unregister_cache "engine:traced";
   List.iter Metrics.unregister_hist
     [ "lat:queue"; "lat:check"; "lat:exec"; "lat:total"; "lat:app:traced" ]
 
@@ -446,7 +434,7 @@ let arb_timeline_store =
           { Trace.seq = 0; app = "a"; call = "install_flow"; deputy = -1;
             start = st; queue_wait = qw; check_dur = cd; exec_dur = ed;
             total = qw +. cd +. ed; decision = Trace.Allowed;
-            cache = Api.Uncached; explain = None })
+            explain = None })
         (pair (float_bound_inclusive 1.0)
            (triple (float_bound_inclusive 0.01) (float_bound_inclusive 0.01)
               (float_bound_inclusive 0.01))))
@@ -536,8 +524,8 @@ let suite =
       test_filter_explain_agrees_with_eval;
     Alcotest.test_case "engine check_explained" `Quick
       test_engine_check_explained;
-    Alcotest.test_case "compiled check_explained" `Quick
-      test_compiled_check_explained;
+    Alcotest.test_case "automaton check_explained" `Quick
+      test_automaton_check_explained;
     Alcotest.test_case "histogram merge laws" `Quick test_histogram_merge_laws;
     Alcotest.test_case "histogram edges" `Quick test_histogram_edges;
     Alcotest.test_case "telemetry roundtrip" `Quick test_telemetry_roundtrip;

@@ -6,7 +6,7 @@
    - every [Refuted] verdict carries concrete counterexample calls
      that [Filter_eval] confirms (admitted by the manifest side,
      escaping the bound), and the certificate's own cross-check —
-     replaying those calls through [Engine], [Compiled] and
+     replaying those calls through the interpreting [Engine] and the
      [Automaton] — agrees;
    - reconciliation's repair actually works: the dirty corpus is
      refuted raw and certified post-repair;
@@ -76,7 +76,7 @@ let test_dirty_refuted_soundly () =
     ws;
   Alcotest.(check bool) "witnesses replayed through the checkers" true
     (cert.Verify.crosscheck.Verify.replayed > 0);
-  Alcotest.(check bool) "Engine/Compiled/Automaton agree" true
+  Alcotest.(check bool) "Engine/Automaton agree" true
     cert.Verify.crosscheck.Verify.checkers_agree
 
 let test_dirty_certified_after_repair () =
@@ -329,16 +329,14 @@ let test_json_rendering () =
     | Some (Telemetry.Json.Obj _) -> ()
     | _ -> Alcotest.fail "minimality field missing or wrong")
 
-(* Checker-composition regression (check --automaton --explain --cache):
-   the CLI builds exactly this engine, so pin at the library layer
-   that the automaton strategy still produces explanations and cache
-   provenance instead of silently dropping either. *)
-let test_automaton_explain_cache_compose () =
+(* Checker-composition regression (check --explain): the CLI builds
+   exactly this engine, so pin at the library layer that the default
+   automaton strategy still exposes its build stats and produces
+   explanations instead of silently dropping either. *)
+let test_automaton_explain_compose () =
   let m = manifest (read_example "clean.manifest") in
   let e =
-    Engine.create ~record_state:false ~strategy:`Automaton
-      ~cache_size:Decision_cache.default_max_entries
-      ~ownership:(Ownership.create ())
+    Engine.create ~record_state:false ~ownership:(Ownership.create ())
       ~app_name:"compose" ~cookie:1 m
   in
   Alcotest.(check bool) "automaton stats exposed" true
@@ -355,13 +353,9 @@ let test_automaton_explain_cache_compose () =
                ())
           ~actions:[ Shield_openflow.Action.Output 2 ] () )
   in
-  let _, info1 = Engine.check_explained e call in
-  Alcotest.(check bool) "--explain still explains under --automaton" true
-    (info1.Api.explain <> None);
-  let _, info2 = Engine.check_explained e call in
-  Alcotest.(check bool) "--cache provenance visible under --automaton" true
-    (info2.Api.cache <> Api.Uncached);
-  Metrics.unregister_cache "engine:compose"
+  let _, info = Engine.check_explained e call in
+  Alcotest.(check bool) "--explain explains on the automaton" true
+    (info.Api.explain <> None)
 
 (* Properties ------------------------------------------------------------------ *)
 
@@ -414,8 +408,8 @@ let qsuite =
            each witness must be (re-derived from scratch) allowed by
            MEET(original, boundary) and denied by the published
            repaired manifest — and the certificate's cross-check must
-           have replayed it identically through Engine, Compiled and
-           Automaton. *)
+           have replayed it identically through the interpreting Engine
+           and the Automaton. *)
         let m = Test_util.manifest_exn (fst (Hostile.assertion_heavy ~seed)) in
         let bound_src =
           Printf.sprintf
@@ -536,6 +530,6 @@ let suite =
       test_counters_reach_telemetry;
     Alcotest.test_case "certificate JSON round-trips" `Quick
       test_json_rendering;
-    Alcotest.test_case "automaton composes with explain and cache" `Quick
-      test_automaton_explain_cache_compose ]
+    Alcotest.test_case "automaton composes with explain and stats" `Quick
+      test_automaton_explain_compose ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite
