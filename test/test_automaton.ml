@@ -419,9 +419,6 @@ let qsuite =
       ~name:"automaton = interpreted (stateless)"
       (QCheck.pair Test_perm_ops.manifest_arb Test_filters.call_arb)
       (fun (m, call) -> three_way_agree m call);
-    QCheck.Test.make ~count:100
-      ~name:"automaton = interpreted = Filter_eval (stateful interleavings)"
-      stateful_arb stateful_interleaving_agrees;
     QCheck.Test.make ~count:200 ~name:"check_batch = map check"
       (QCheck.pair Test_perm_ops.manifest_arb
          (QCheck.list_of_size (QCheck.Gen.int_range 0 40) Test_filters.call_arb))
@@ -436,6 +433,13 @@ let qsuite =
     QCheck.Test.make ~count:300 ~name:"automaton explanations = engine's"
       (QCheck.pair Test_perm_ops.manifest_arb Test_filters.call_arb)
       (fun (m, call) -> explanations_agree m call) ]
+
+(* The stateful differential runs as its own suite, [stateful-check]. *)
+let stateful_suite =
+  [ QCheck_alcotest.to_alcotest ~long:false
+      (QCheck.Test.make ~count:100
+         ~name:"automaton = interpreted = Filter_eval (stateful interleavings)"
+         stateful_arb stateful_interleaving_agrees) ]
 
 let suite =
   [ Alcotest.test_case "automaton allow/deny basics" `Quick test_automaton_basic;

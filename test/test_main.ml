@@ -13,6 +13,7 @@ let () =
       ("attacks", Test_attacks.suite);
       ("workload", Test_workload.suite);
       ("automaton", Test_automaton.suite);
+      ("stateful-check", Test_automaton.stateful_suite);
       ("infer", Test_infer.suite);
       ("hll", Test_hll.suite);
       ("runtime-ext", Test_runtime_ext.suite);
