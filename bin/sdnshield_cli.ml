@@ -86,6 +86,17 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* The [--max-*]/[--deadline] flags of [vet] and [verify] over
+   {!Budget.default_limits}. *)
+let budget_limits max_steps max_clauses max_nodes max_depth deadline =
+  let d = Budget.default_limits in
+  { Budget.max_steps = Option.value max_steps ~default:d.Budget.max_steps;
+    max_clauses = Option.value max_clauses ~default:d.Budget.max_clauses;
+    max_nodes = Option.value max_nodes ~default:d.Budget.max_nodes;
+    max_depth = Option.value max_depth ~default:d.Budget.max_depth;
+    deadline =
+      (match deadline with Some _ -> deadline | None -> d.Budget.deadline) }
+
 (* parse ---------------------------------------------------------------------- *)
 
 let parse_cmd =
@@ -272,14 +283,8 @@ let check_cmd =
 let vet_cmd =
   let run manifest_path policy_path app max_steps max_clauses max_nodes
       max_depth deadline =
-    let d = Budget.default_limits in
     let limits =
-      { Budget.max_steps = Option.value max_steps ~default:d.Budget.max_steps;
-        max_clauses = Option.value max_clauses ~default:d.Budget.max_clauses;
-        max_nodes = Option.value max_nodes ~default:d.Budget.max_nodes;
-        max_depth = Option.value max_depth ~default:d.Budget.max_depth;
-        deadline =
-          (match deadline with Some _ -> deadline | None -> d.Budget.deadline) }
+      budget_limits max_steps max_clauses max_nodes max_depth deadline
     in
     let manifest_src = read_file manifest_path in
     let print_lint (fs : Lint.finding list) =
@@ -303,38 +308,46 @@ let vet_cmd =
     in
     match policy_path with
     | None -> (
+      let print_admitted m =
+        Fmt.pr "%a@." Perm.pp m;
+        print_lint (Lint.lint_manifest ~limits m)
+      in
       match Vetting.vet_manifest ~limits manifest_src with
-      | Vetting.Admitted { value = m; lint; _ } ->
-        Fmt.pr "%a@." Perm.pp m;
-        print_lint lint;
+      | Vetting.Admitted { value = m } ->
+        print_admitted m;
         finish "admitted" [] None
-      | Vetting.Degraded ({ value = m; lint; _ }, notes) ->
-        Fmt.pr "%a@." Perm.pp m;
-        print_lint lint;
+      | Vetting.Degraded ({ value = m }, notes) ->
+        print_admitted m;
         finish "degraded" notes None
       | Vetting.Rejected r -> finish "rejected" [] (Some r))
     | Some policy_path -> (
       let policy_src = read_file policy_path in
-      let print_report (report : Reconcile.report) =
+      let print_admitted (report : Reconcile.report) =
         List.iter
           (fun v -> Fmt.pr "violation: %a@." Reconcile.pp_violation v)
           report.Reconcile.violations;
-        match List.assoc_opt app report.Reconcile.manifests with
+        (match List.assoc_opt app report.Reconcile.manifests with
         | Some m -> Fmt.pr "# reconciled permissions for %s@.%a@." app Perm.pp m
-        | None -> ()
+        | None -> ());
+        (* Lint the sources as submitted (vetting admitted both, so they
+           parse): the policy with the manifest's stub macros counted as
+           live bindings, then the manifest. *)
+        let m = Perm_parser.manifest_exn manifest_src in
+        print_lint
+          (Lint.lint_policy ~limits ~manifest_macros:(Perm.macros m)
+             (Policy_parser.of_string_exn policy_src)
+          @ Lint.lint_manifest ~limits ~label:("app " ^ app) m)
       in
       match
         Vetting.vet_and_reconcile ~limits
           ~apps:[ (app, manifest_src) ]
           policy_src
       with
-      | Vetting.Admitted { value = report; lint; _ } ->
-        print_report report;
-        print_lint lint;
+      | Vetting.Admitted { value = report } ->
+        print_admitted report;
         finish "admitted" [] None
-      | Vetting.Degraded ({ value = report; lint; _ }, notes) ->
-        print_report report;
-        print_lint lint;
+      | Vetting.Degraded ({ value = report }, notes) ->
+        print_admitted report;
         finish "degraded" notes None
       | Vetting.Rejected r -> finish "rejected" [] (Some r))
   in
@@ -1287,44 +1300,37 @@ let lint_cmd =
 let verify_cmd =
   let run app manifest_path policy_path json deny minimal max_steps max_clauses
       max_nodes max_depth deadline =
-    let d = Budget.default_limits in
     let limits =
-      { Budget.max_steps = Option.value max_steps ~default:d.Budget.max_steps;
-        max_clauses = Option.value max_clauses ~default:d.Budget.max_clauses;
-        max_nodes = Option.value max_nodes ~default:d.Budget.max_nodes;
-        max_depth = Option.value max_depth ~default:d.Budget.max_depth;
-        deadline =
-          (match deadline with Some _ -> deadline | None -> d.Budget.deadline) }
+      budget_limits max_steps max_clauses max_nodes max_depth deadline
     in
+    let policy_src = read_file policy_path in
     match
       Vetting.vet_and_reconcile ~limits
         ~apps:[ (app, read_file manifest_path) ]
-        (read_file policy_path)
+        policy_src
     with
     | Vetting.Rejected r ->
       `Error (false, Fmt.str "%a" Vetting.pp_rejection r)
-    | Vetting.Admitted { certificate; _ }
-    | Vetting.Degraded ({ certificate; _ }, _) -> (
-      match certificate with
-      | None ->
-        (* vet_and_reconcile always certifies; a missing certificate is
-           a pipeline bug, and --deny must treat it as not certified. *)
-        if deny then `Error (false, "no certificate produced") else `Ok ()
-      | Some cert ->
-        if json then
-          Fmt.pr "%s@." (Telemetry.Json.to_string (Verify.json_of_certificate cert))
-        else Fmt.pr "%a@." Verify.pp_certificate cert;
-        if deny && not (Verify.certified cert) then begin
-          Fmt.epr "verify: %s — failing (--deny)@." (Verify.verdict_label cert);
-          exit 1
-        end
-        else if minimal && Verify.minimality_label cert <> "minimal" then begin
-          Fmt.epr
-            "verify: repair minimality is %s — failing (--minimal)@."
-            (Verify.minimality_label cert);
-          exit 1
-        end
-        else `Ok ())
+    | Vetting.Admitted { value = report } | Vetting.Degraded ({ value = report }, _)
+      ->
+      let cert =
+        Verify.verify_report ~limits (Policy_parser.of_string_exn policy_src)
+          report
+      in
+      if json then
+        Fmt.pr "%s@." (Telemetry.Json.to_string (Verify.json_of_certificate cert))
+      else Fmt.pr "%a@." Verify.pp_certificate cert;
+      if deny && not (Verify.certified cert) then begin
+        Fmt.epr "verify: %s — failing (--deny)@." (Verify.verdict_label cert);
+        exit 1
+      end
+      else if minimal && Verify.minimality_label cert <> "minimal" then begin
+        Fmt.epr
+          "verify: repair minimality is %s — failing (--minimal)@."
+          (Verify.minimality_label cert);
+        exit 1
+      end
+      else `Ok ()
   in
   let app_arg =
     Arg.(value & opt string "app" & info [ "app" ] ~docv:"NAME" ~doc:"App name")

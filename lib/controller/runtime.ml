@@ -910,12 +910,6 @@ let shutdown t =
     List.iter Domain.join t.ksd_domains;
     List.iter Metrics.unregister_gauge (gauge_names t))
 
-(** The runtime's observability report: reference-monitor counters,
-    kernel execution volume, and the hit/miss counters of every
-    registered memo ([lib/core] registers the normal-form and
-    inclusion memos). *)
-let cache_report (_ : t) = Metrics.cache_report ()
-
 let pp_fault_report ppf r =
   Fmt.pf ppf
     "faults: ksd-failures=%d ksd-restarts=%d deadlines=%d \

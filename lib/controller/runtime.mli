@@ -178,11 +178,6 @@ val fault_report : t -> fault_report
 
 val pp_fault_report : Format.formatter -> fault_report -> unit
 
-val cache_report : t -> (string * Metrics.cache_stats) list
-(** Hit/miss counters of every memo registered in this process: the
-    normal-form / inclusion memo tables (see
-    {!Metrics.register_cache}). *)
-
 val telemetry : t -> Telemetry.snapshot
 (** The runtime's slice of the unified telemetry snapshot: its
     reference-monitor and fault counters, the process-wide

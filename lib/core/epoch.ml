@@ -468,9 +468,10 @@ let apply_admit t ~upgrade ~app ~src stages =
         | _ -> ());
         r)
   in
-  (* Advisory: findings never block admission (the vetting pipeline's
-     contract), but the stage is timed and the counters feed the
-     lint-severity gauges like every other lint run. *)
+  (* The commit's one lint pass, over the reconciled manifest.
+     Advisory: findings never block admission, but the stage is timed
+     and the counters feed the lint-severity gauges like every other
+     lint run. *)
   let _findings =
     stage stages "lint" (fun () ->
         Lint.lint_manifest ?limits:t.limits ~label:("app " ^ app)

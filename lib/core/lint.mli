@@ -126,7 +126,7 @@ val lint_manifest :
   Perm.manifest ->
   finding list
 (** Run the manifest rules.  [label] prefixes every location (used by
-    {!Vetting.vet_and_reconcile} to name the app).  [trace] enables the
+    {!Epoch}'s lint stage to name the app).  [trace] enables the
     over-privilege audit against {!Infer.of_trace}[ trace]. *)
 
 val lint_policy :

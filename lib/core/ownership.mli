@@ -17,17 +17,6 @@ val create : unit -> t
 val rules_at : t -> dpid -> rule list
 val all_rules : t -> (dpid * rule) list
 
-val generation : t -> int
-(** Mutation counter: bumped by every {!record}, {!forget} and
-    {!restore}.  Reads are lock-free (atomic); bumps happen inside the
-    store's lock {e before} the mutation lands, so a reader that can
-    observe a mutation also observes its bump.  Consequence (the
-    publication invariant pinned by the two-domain hammer in
-    test/test_ownership.ml): two generation reads that bracket a locked
-    read of the store and agree on [g] guarantee the store content seen
-    is the generation-[g] state, so anything derived from the store
-    and tagged with [g] is stale exactly when the counter has moved. *)
-
 val record : t -> dpid:dpid -> Flow_mod.t -> cookie:int -> unit
 (** Record an approved flow-mod: adds on [Add], re-attributes on
     [Modify], removes subsumed rules on [Delete].  [cookie] attributes

@@ -142,8 +142,8 @@ val verify :
     none) are the reconciliation violations whose truncations the
     minimality dimension audits.  Installs its own nested {!Budget}
     scope (default {!Budget.default_limits}), so a caller already
-    inside a scope — {!Vetting} — degrades to [Unverified] without
-    burning its own admission budget.  Never raises. *)
+    inside a scope degrades to [Unverified] without burning its own
+    budget.  Never raises. *)
 
 val verify_report : ?limits:Budget.limits -> Policy.t -> Reconcile.report -> certificate
 (** {!verify} over a reconciliation report's repaired manifests and

@@ -19,11 +19,7 @@
 module M = Shield_controller.Metrics
 
 type rejection = { stage : string; reason : string; spent : Budget.spent }
-type 'a admission = {
-  value : 'a;
-  lint : Lint.finding list;
-  certificate : Verify.certificate option;
-}
+type 'a admission = { value : 'a }
 
 type 'a verdict =
   | Admitted of 'a admission
@@ -98,15 +94,7 @@ let reset_stats () =
 
 (* The guarded runner -------------------------------------------------------- *)
 
-(* [f] returns the vetted value together with its advisory lint
-   findings.  Lint installs its own nested budget scope, so a manifest
-   whose *analysis* is expensive degrades the lint report (to Info
-   "unverified" findings), never the admission verdict. *)
-let run ?limits
-    (f :
-      Budget.t ->
-      ('a * Lint.finding list * Verify.certificate option, rejection) result) :
-    'a verdict =
+let run ?limits (f : Budget.t -> ('a, rejection) result) : 'a verdict =
   let b = Budget.create ?limits () in
   let outcome =
     Budget.with_scope b (fun () ->
@@ -133,8 +121,8 @@ let run ?limits
   count_verdict
     (match outcome with
     | Error r -> Rejected r
-    | Ok (v, lint, certificate) -> (
-      let adm = { value = v; lint; certificate } in
+    | Ok value -> (
+      let adm = { value } in
       match Budget.notes b with
       | [] -> Admitted adm
       | notes -> Degraded (adm, notes)))
@@ -251,21 +239,7 @@ let check_policy_references (policy : Policy.t) =
 let vet_manifest_ast ?limits (m : Perm.manifest) : Perm.manifest verdict =
   run ?limits (fun _b ->
       check_manifest m;
-      Budget.set_stage "lint";
-      Ok (m, Lint.lint_manifest m, None))
-
-let vet_manifest_compiled ?limits (m : Perm.manifest) :
-    (Perm.manifest * Automaton.t) verdict =
-  run ?limits (fun _b ->
-      check_manifest m;
-      (* Build the decision DAG inside the same scope: [Automaton]
-         ticks the budget once per node, so a manifest whose compiled
-         form explodes is cut off at this stage instead of costing the
-         controller the blow-up at app-load time. *)
-      Budget.set_stage "compile";
-      let a = Automaton.of_manifest m in
-      Budget.set_stage "lint";
-      Ok ((m, a), Lint.lint_manifest m, None))
+      Ok m)
 
 let vet_manifest ?limits (src : string) : Perm.manifest verdict =
   run ?limits (fun b ->
@@ -274,8 +248,7 @@ let vet_manifest ?limits (src : string) : Perm.manifest verdict =
       | Error e -> Error { stage = "parse"; reason = e; spent = Budget.spent b }
       | Ok m ->
         check_manifest m;
-        Budget.set_stage "lint";
-        Ok (m, Lint.lint_manifest m, None))
+        Ok m)
 
 let vet_policy ?limits (src : string) : Policy.t verdict =
   run ?limits (fun b ->
@@ -285,8 +258,7 @@ let vet_policy ?limits (src : string) : Policy.t verdict =
       | Ok policy ->
         check_policy_structure policy;
         check_policy_references policy;
-        Budget.set_stage "lint";
-        Ok (policy, Lint.lint_policy policy, None))
+        Ok policy)
 
 let vet_and_reconcile ?limits ~(apps : (string * string) list)
     (policy : string) : Reconcile.report verdict =
@@ -338,27 +310,7 @@ let vet_and_reconcile ?limits ~(apps : (string * string) list)
                    app
                    (String.concat ", " stubs)))
             report.Reconcile.unresolved_macros;
-          Budget.set_stage "lint";
-          let manifest_macros =
-            List.concat_map (fun (_, m) -> Perm.macros m) parsed
-          in
-          let lint =
-            Lint.lint_policy ~manifest_macros pol
-            @ List.concat_map
-                (fun (name, m) ->
-                  Lint.lint_manifest ~label:("app " ^ name) m)
-                parsed
-          in
-          (* Post-repair certification (docs/VERIFY.md).  Verify
-             installs its own nested scope but inherits this
-             admission's limits, so a hostile policy cannot buy extra
-             work by being verified; its exhaustion degrades the
-             certificate to [Unverified], never the verdict. *)
-          Budget.set_stage "verify";
-          let certificate =
-            Verify.verify_report ~limits:(Budget.limits b) pol report
-          in
-          Ok (report, lint, Some certificate)))
+          Ok report))
 
 (* Reporting ----------------------------------------------------------------- *)
 

@@ -29,32 +29,17 @@
 type rejection = {
   stage : string;
       (** Pipeline stage that cut the input off: ["parse"],
-          ["structure"], ["expand"], ["normalize"], ["compile"] or
-          ["reconcile"]. *)
+          ["structure"], ["expand"], ["normalize"] or ["reconcile"]. *)
   reason : string;
   spent : Budget.spent;  (** Resources consumed up to the cut-off. *)
 }
 
-type 'a admission = {
-  value : 'a;
-  lint : Lint.finding list;
-      (** Advisory shield-lint findings (docs/LINTING.md), computed
-          after the structural stages under lint's own nested budget
-          scope.  Findings never change the verdict: a lint-dirty but
-          well-formed input is still admitted, and lint analysis that
-          exhausts its budget degrades to [Info] "unverified" findings
-          rather than to a [Degraded]/[Rejected] verdict. *)
-  certificate : Verify.certificate option;
-      (** shield-verify certificate over the reconciled result
-          (docs/VERIFY.md) — [Some] only for {!vet_and_reconcile},
-          which is the one pipeline that produces post-repair
-          manifests to certify.  Like lint, the certificate is
-          advisory at admission: a [Refuted] or [Unverified]
-          certificate rides along for the administrator (and the CLI's
-          [verify --deny]) without flipping the verdict, and
-          verification runs under its own nested budget scope (with
-          this admission's limits) so it can never reject the input. *)
-}
+type 'a admission = { value : 'a }
+(** What an admitted input yields.  Vetting only admits: the advisory
+    analyses of an admitted value (docs/LINTING.md, docs/VERIFY.md)
+    are the caller's to run, under the caller's own limits.  In a live
+    deployment the {!Epoch} transaction runs them once per commit, in
+    its own stages (docs/CHURN.md). *)
 
 type 'a verdict =
   | Admitted of 'a admission
@@ -78,20 +63,6 @@ val vet_manifest_ast :
     adversarially deep expressions — structural checks are iterative.
     Never raises. *)
 
-val vet_manifest_compiled :
-  ?limits:Budget.limits ->
-  Perm.manifest ->
-  (Perm.manifest * Automaton.t) verdict
-(** {!vet_manifest_ast} plus admission-time compilation: build the
-    {!Automaton} decision DAG for the manifest inside the same budget
-    scope (stage ["compile"], one tick per DAG node), so pathological
-    manifests pay for their compiled size at admission rather than at
-    app-load time.  The returned automaton is built against
-    {!Filter_eval.pure_env}; engines that need the stateful dimensions
-    recompile with their own environment ({!Engine.create}), which is
-    cheap for anything this stage
-    admitted.  Never raises. *)
-
 val vet_policy : ?limits:Budget.limits -> string -> Policy.t verdict
 (** Vet policy source text: parse, structural caps on every embedded
     filter and permission block, and a static reference check —
@@ -110,10 +81,7 @@ val vet_and_reconcile :
     [Degraded] when any stage fell back conservatively or any policy
     statement was skipped as a [Policy_error]; violations that the
     engine repaired are part of the admitted report, not a
-    degradation.  The [lint] field aggregates the policy findings
-    (with the app manifests' stub macros counted as live bindings)
-    and each app's manifest findings (locations prefixed
-    ["app <name>"]).  Never raises. *)
+    degradation.  Never raises. *)
 
 (** {1 Metrics} *)
 

@@ -103,6 +103,35 @@ let test_request_validation () =
   Alcotest.(check bool) "consistent" true (Epoch.consistent t);
   Epoch.close t
 
+(* A commit lints once: vetting only admits, so the lint stage's pass
+   over the reconciled manifest is the only one feeding the
+   lint-<severity>:<rule> counters, on install and on upgrade. *)
+let test_commit_lints_once () =
+  let t = deploy () in
+  let src = Test_lint.read_example "dirty.manifest" in
+  let lint_counts f =
+    Lint.reset_counters ();
+    f ();
+    Lint.stats ()
+  in
+  let one_pass () =
+    match Epoch.current t "dirty" with
+    | Some r -> ignore (Lint.lint_manifest ~label:"app dirty" r.Epoch.manifest)
+    | None -> Alcotest.fail "dirty app is not live"
+  in
+  List.iter
+    (fun (what, req) ->
+      let commit = lint_counts (fun () -> ignore (committed what (Epoch.apply t req))) in
+      let expected = lint_counts one_pass in
+      Alcotest.(check bool) (what ^ ": the dirty manifest has findings") true
+        (List.exists (fun (_, n) -> n > 0) expected);
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": counters = one lint pass over the reconciled manifest")
+        expected commit)
+    [ ("install", Market.install "dirty" src);
+      ("upgrade", Market.upgrade "dirty" src) ];
+  Epoch.close t
+
 (* A policy can name churned apps: [Churn_gen.app_name] emits names the
    policy lexer accepts, so a boundary on a generated app vets and
    truncates that app's grant. *)
@@ -352,6 +381,7 @@ let suite =
   [ Alcotest.test_case "install/upgrade/revoke lifecycle" `Quick
       test_install_upgrade_revoke;
     Alcotest.test_case "request validation" `Quick test_request_validation;
+    Alcotest.test_case "a commit lints once" `Quick test_commit_lints_once;
     Alcotest.test_case "churned app names are governable" `Quick
       test_churn_app_governed;
     Alcotest.test_case "compile-stage budget rolls back" `Quick

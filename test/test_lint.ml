@@ -341,18 +341,19 @@ let test_sarif_roundtrip () =
       | _ -> Alcotest.fail "no results array")
     | _ -> Alcotest.fail "expected one run")
 
-(* Vetting integration --------------------------------------------------------- *)
+(* Linting what vetting admitted ------------------------------------------------ *)
 
-let test_vetting_carries_lint () =
+let test_vetted_dirty_manifest_lints () =
   match Vetting.vet_manifest (read_example "dirty.manifest") with
-  | Vetting.Admitted { Vetting.lint; _ } ->
+  | Vetting.Admitted { Vetting.value = m } ->
     Alcotest.(check bool) "dirty manifest admitted with findings" true
-      (Lint.count Lint.Error lint >= 1)
+      (Lint.count Lint.Error (Lint.lint_manifest m) >= 1)
   | v -> Alcotest.failf "expected admitted, got %s" (Vetting.verdict_label v)
 
 let test_vet_and_reconcile_counts_stubs_live () =
-  (* The policy's stub macro is referenced by the app manifest, so the
-     aggregated pipeline must not report it dead. *)
+  (* The policy's stub macro is referenced by the app manifest, so
+     linting the admitted policy with the manifest's stubs as live
+     bindings must not report it dead. *)
   let policy_src =
     "LET guard = { IP_DST 10.0.0.0 MASK 255.0.0.0 }\n\
      LET a = APP app\n\
@@ -360,8 +361,13 @@ let test_vet_and_reconcile_counts_stubs_live () =
   in
   let app_src = "PERM insert_flow LIMITING guard" in
   match Vetting.vet_and_reconcile ~apps:[ ("app", app_src) ] policy_src with
-  | Vetting.Admitted { Vetting.lint; _ }
-  | Vetting.Degraded ({ Vetting.lint; _ }, _) ->
+  | Vetting.Admitted _ | Vetting.Degraded _ ->
+    let app = Test_util.manifest_exn app_src in
+    let lint =
+      Lint.lint_policy ~manifest_macros:(Perm.macros app)
+        (Test_util.policy_exn policy_src)
+      @ Lint.lint_manifest ~label:"app app" app
+    in
     Alcotest.(check bool) "stub used by the app manifest is live" false
       (List.exists
          (fun f -> Test_vetting.contains ~affix:"guard" f.Lint.message)
@@ -428,7 +434,8 @@ let suite =
     Alcotest.test_case "counters reach telemetry" `Quick
       test_counters_reach_telemetry;
     Alcotest.test_case "SARIF round-trip" `Quick test_sarif_roundtrip;
-    Alcotest.test_case "vetting carries lint" `Quick test_vetting_carries_lint;
+    Alcotest.test_case "vetted dirty manifest lints" `Quick
+      test_vetted_dirty_manifest_lints;
     Alcotest.test_case "pipeline sees app stubs as live" `Quick
       test_vet_and_reconcile_counts_stubs_live ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite

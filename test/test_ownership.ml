@@ -1,15 +1,8 @@
-(* Ownership-store publication tests.
-
-   The store's documented invariant (lib/core/ownership.ml): the
-   generation counter is bumped inside the lock *before* the table
-   mutation lands, so two lock-free generation reads that bracket a
-   locked read of the table and agree on [g] guarantee the table
-   content seen is exactly the generation-[g] state.  The two-domain
-   hammer here pins this ordering by construction:
-   every writer mutation adds exactly one rule, so generation and rule
-   count must agree in any bracketed-stable observation.  Reversing
-   the bump and the mutation would make the hammer fail (a reader
-   could see k+1 rules inside a stable generation-k window). *)
+(* Ownership-store tests: per-priority recording, snapshot/restore, and
+   a two-domain hammer — one domain records while another reads the
+   table under the store's lock; every read must see a rule count
+   that only grows and never exceeds the writes issued, and the
+   quiescent store must hold exactly one rule per write. *)
 
 open Shield_openflow
 open Sdnshield
@@ -18,29 +11,27 @@ let match_all = Match_fields.make ~dl_type:Types.Eth_ip ()
 
 let add_rule own i =
   (* Distinct priority per mutation: [record] replaces only on equal
-     (priority, match), so each add is exactly +1 rule and +1 bump. *)
+     (priority, match), so each add is exactly +1 rule. *)
   Ownership.record own ~dpid:1
     (Flow_mod.add ~priority:i ~cookie:1 ~match_:match_all ~actions:[] ())
     ~cookie:1
 
-let test_generation_counts_mutations () =
-  let own = Ownership.create () in
-  Alcotest.(check int) "fresh store at generation 0" 0 (Ownership.generation own);
-  for i = 1 to 10 do add_rule own i done;
-  Alcotest.(check int) "one bump per mutation" 10 (Ownership.generation own);
-  Alcotest.(check int) "one rule per mutation" 10
-    (List.length (Ownership.rules_at own 1))
+let rule_count own = List.length (Ownership.rules_at own 1)
 
-let test_restore_bumps_generation () =
-  (* Rollback must move the counter even when it restores bit-identical
-     content: observers key on the counter, not on the rules. *)
+let test_record_one_rule_per_priority () =
+  let own = Ownership.create () in
+  for i = 1 to 10 do add_rule own i done;
+  Alcotest.(check int) "one rule per mutation" 10 (rule_count own)
+
+let test_restore_swaps_content () =
   let own = Ownership.create () in
   add_rule own 1;
   let snap = Ownership.snapshot own in
-  let g = Ownership.generation own in
+  add_rule own 2;
+  Alcotest.(check int) "two rules before restore" 2 (rule_count own);
   Ownership.restore own snap;
-  Alcotest.(check bool) "restore bumps even when content is identical" true
-    (Ownership.generation own > g)
+  Alcotest.(check (list int)) "restore brings back the snapshot's rules" [ 1 ]
+    (List.map (fun r -> r.Ownership.priority) (Ownership.rules_at own 1))
 
 let test_two_domain_hammer () =
   let own = Ownership.create () in
@@ -48,39 +39,32 @@ let test_two_domain_hammer () =
   let writer () =
     for i = 1 to n do add_rule own i done
   in
-  (* Reader: bracket every locked table read with two lock-free
-     generation reads; whenever they agree, the incr-before-mutate
-     ordering forces count = generation.  [stable] counts the samples
-     where the bracket actually closed, so the test fails loudly if it
-     stops exercising the invariant. *)
+  (* Reader: every locked read sees a whole number of writes, so the
+     count is monotone and bounded by [n].  [samples] counts the reads
+     taken while the writer was still running, so the test fails
+     loudly if it stops overlapping the writes. *)
   let reader () =
-    let violations = ref 0 and stable = ref 0 in
-    while Ownership.generation own < n do
-      let g1 = Ownership.generation own in
-      let rules = Ownership.rules_at own 1 in
-      let g2 = Ownership.generation own in
-      if g1 = g2 then begin
-        incr stable;
-        if List.length rules <> g1 then incr violations
-      end
+    let violations = ref 0 and samples = ref 0 and last = ref 0 in
+    while !last < n do
+      let c = rule_count own in
+      if c < !last || c > n then incr violations;
+      if c < n then incr samples;
+      last := max !last c
     done;
-    (!violations, !stable)
+    (!violations, !samples)
   in
   let w = Domain.spawn writer in
-  let violations, stable = reader () in
+  let violations, samples = reader () in
   Domain.join w;
-  Alcotest.(check int) "no bracketed sample ever saw count <> generation" 0
+  Alcotest.(check int) "no read saw the count shrink or overshoot" 0
     violations;
-  Alcotest.(check bool) "hammer produced stable samples" true (stable > 0);
-  Alcotest.(check int) "quiescent: generation = mutations" n
-    (Ownership.generation own);
-  Alcotest.(check int) "quiescent: count = mutations" n
-    (List.length (Ownership.rules_at own 1))
+  Alcotest.(check bool) "hammer overlapped the writes" true (samples > 0);
+  Alcotest.(check int) "quiescent: count = mutations" n (rule_count own)
 
 let suite =
-  [ Alcotest.test_case "generation counts mutations" `Quick
-      test_generation_counts_mutations;
-    Alcotest.test_case "restore bumps generation" `Quick
-      test_restore_bumps_generation;
-    Alcotest.test_case "two-domain hammer: incr-before-mutate" `Quick
+  [ Alcotest.test_case "record adds one rule per priority" `Quick
+      test_record_one_rule_per_priority;
+    Alcotest.test_case "restore swaps the content" `Quick
+      test_restore_swaps_content;
+    Alcotest.test_case "two-domain hammer: quiescent count" `Quick
       test_two_domain_hammer ]

@@ -273,23 +273,22 @@ let test_inclusion_fallback_directions () =
   Alcotest.(check bool) "overlap degrades to TRUE" true
     (Inclusion.manifests_overlap mb mb)
 
-(* Vetting carries the certificate --------------------------------------------- *)
+(* Certifying what vetting admitted -------------------------------------------- *)
 
-let test_vetting_carries_certificate () =
+let test_admitted_report_certifies () =
+  let policy_src = read_example "dirty.policy" in
   match
     Vetting.vet_and_reconcile
       ~apps:[ ("app", read_example "dirty.manifest") ]
-      (read_example "dirty.policy")
+      policy_src
   with
-  | Vetting.Admitted { Vetting.certificate; _ }
-  | Vetting.Degraded ({ Vetting.certificate; _ }, _) -> (
-    match certificate with
-    | None -> Alcotest.fail "vet_and_reconcile produced no certificate"
-    | Some cert ->
-      Alcotest.(check bool)
-        (Fmt.str "post-repair admission certifies (got %s)"
-           (Verify.verdict_label cert))
-        true (Verify.certified cert))
+  | Vetting.Admitted { Vetting.value = report }
+  | Vetting.Degraded ({ Vetting.value = report }, _) ->
+    let cert = Verify.verify_report (policy policy_src) report in
+    Alcotest.(check bool)
+      (Fmt.str "post-repair admission certifies (got %s)"
+         (Verify.verdict_label cert))
+      true (Verify.certified cert)
   | Vetting.Rejected r ->
     Alcotest.failf "rejected: %s" (Fmt.str "%a" Vetting.pp_rejection r)
 
@@ -524,8 +523,8 @@ let suite =
       test_minimality_exhaustion_is_unknown;
     Alcotest.test_case "Inclusion fallbacks stay fail-closed" `Quick
       test_inclusion_fallback_directions;
-    Alcotest.test_case "vetting carries the certificate" `Quick
-      test_vetting_carries_certificate;
+    Alcotest.test_case "vetted report certifies" `Quick
+      test_admitted_report_certifies;
     Alcotest.test_case "verdict counters reach telemetry" `Quick
       test_counters_reach_telemetry;
     Alcotest.test_case "certificate JSON round-trips" `Quick
